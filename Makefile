@@ -37,14 +37,13 @@ chaos:
 		./internal/core/ ./internal/fabric/ ./internal/proc/ \
 		./internal/services/ ./internal/testbed/ ./internal/exp/
 
-# determinism runs the PDES acceptance matrix under the race detector
-# at 1 and 4 CPUs: byte-identical traces and event counts across runs,
-# shard counts, and GOMAXPROCS (sim engine ordering property tests,
-# the fabric mesh ring, and the full-stack experiment matrix).
+# determinism runs the determinism tests under the race detector at 1
+# and 4 CPUs: byte-identical traces, tables and event counts across
+# runs and GOMAXPROCS (the kernel's seeded-workload property test and
+# the full-stack experiment matrix).
 determinism:
-	$(GO) test -race -cpu 1,4 -count=1 \
-		-run 'Determinism|EnginePost|EngineSingleShard|MeshRing' \
-		./internal/sim/ ./internal/fabric/ ./internal/exp/
+	$(GO) test -race -cpu 1,4 -count=1 -run 'Determinism' \
+		./internal/sim/ ./internal/exp/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

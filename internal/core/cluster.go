@@ -41,12 +41,6 @@ type ClusterConfig struct {
 	Profile   fabric.Profile
 	Seed      int64
 
-	// K, when non-nil, is the kernel to build the cluster on instead of
-	// a fresh sim.New(Seed) — the partition-parallel testbed path hands
-	// in shard 0 of a sim.Engine here. The caller keeps responsibility
-	// for seeding it consistently with Seed.
-	K *sim.Kernel
-
 	// Faults, when Enabled, installs the fault-injection layer on the
 	// fabric (docs/FAULTS.md) and — unless the Ctrl template already
 	// sets one — arms the Controllers' retransmission protocol with
@@ -75,10 +69,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Profile == (fabric.Profile{}) {
 		cfg.Profile = fabric.DefaultProfile()
 	}
-	k := cfg.K
-	if k == nil {
-		k = sim.New(cfg.Seed)
-	}
+	k := sim.New(cfg.Seed)
 	net := fabric.New(k, cfg.Profile)
 	if cfg.Faults.Enabled() {
 		net.InstallFaults(cfg.Faults)

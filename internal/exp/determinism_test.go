@@ -75,94 +75,60 @@ func diffTraces(t *testing.T, name, a, b string) {
 	t.Errorf("%s traces diverge in length: %d vs %d events", name, len(la), len(lb))
 }
 
+// traceFV captures the fabric trace of two face-verification
+// requests (batch 8, controllers on the SmartNIC), checking every
+// verdict.
+func traceFV(t *testing.T) string {
+	t.Helper()
+	cfg := faceverify.Config{Batch: 8, Files: 2, Slots: 1}
+	fv := &stacks.FaceVerify{Cfg: cfg}
+	spec := testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
+		Services: []testbed.Service{fv}}
+	return captureTrace(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
+		rng := newRand(5)
+		for i := 0; i < cfg.Files; i++ {
+			r := faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
+			out, err := fv.Verify(tk, r)
+			if err != nil {
+				t.Errorf("faceverify request %d: %v", i, err)
+				return
+			}
+			if !r.CheckResults(out) {
+				t.Errorf("faceverify request %d: wrong verdicts", i)
+			}
+		}
+	})
+}
+
+// tracePipeline captures the fabric trace of the §6.2 multi-stage
+// pipeline run in all three composition models.
+func tracePipeline(t *testing.T) string {
+	t.Helper()
+	return captureTrace(t, testbed.Spec{Nodes: 5}, func(tk *sim.Task, d *testbed.Deployment) {
+		pl := newPipeline(tk, d.Cl, 4, 4<<10)
+		pl.runStar(tk)
+		pl.runFastStar(tk)
+		pl.runChain(tk)
+	})
+}
+
 // TestTraceDeterminism replays two end-to-end workloads — the §6.2
 // multi-stage pipeline in all three composition models, and the
 // face-verification application — and requires the complete fabric
 // event stream (every message and RDMA transfer, with virtual
 // timestamps) to be byte-identical across runs.
 func TestTraceDeterminism(t *testing.T) {
-	pipelineRun := func(tk *sim.Task, d *testbed.Deployment) {
-		pl := newPipeline(tk, d.Cl, 4, 4<<10)
-		pl.runStar(tk)
-		pl.runFastStar(tk)
-		pl.runChain(tk)
-	}
-	cfg := faceverify.Config{Batch: 8, Files: 2, Slots: 1}
-	appWorkload := func(fv *stacks.FaceVerify) func(tk *sim.Task, d *testbed.Deployment) {
-		return func(tk *sim.Task, d *testbed.Deployment) {
-			rng := newRand(5)
-			for i := 0; i < cfg.Files; i++ {
-				r := faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-				out, err := fv.Verify(tk, r)
-				if err != nil {
-					t.Errorf("faceverify request %d: %v", i, err)
-					return
-				}
-				if !r.CheckResults(out) {
-					t.Errorf("faceverify request %d: wrong verdicts", i)
-				}
-			}
-		}
-	}
-
-	type workload struct {
-		name string
-		mk   func() (testbed.Spec, func(tk *sim.Task, d *testbed.Deployment))
-	}
-	workloads := []workload{
-		{"pipeline", func() (testbed.Spec, func(tk *sim.Task, d *testbed.Deployment)) {
-			return testbed.Spec{Nodes: 5}, pipelineRun
-		}},
-		{"faceverify", func() (testbed.Spec, func(tk *sim.Task, d *testbed.Deployment)) {
-			fv := &stacks.FaceVerify{Cfg: cfg}
-			return testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
-				Services: []testbed.Service{fv}}, appWorkload(fv)
-		}},
-	}
-	for _, w := range workloads {
-		specA, runA := w.mk()
-		a := captureTrace(t, specA, runA)
-		specB, runB := w.mk()
-		b := captureTrace(t, specB, runB)
-		diffTraces(t, w.name, a, b)
-	}
+	diffTraces(t, "pipeline", tracePipeline(t), tracePipeline(t))
+	diffTraces(t, "faceverify", traceFV(t), traceFV(t))
 }
 
-// TestShardMatrixDeterminism is the acceptance matrix for the
-// partition-parallel kernel: every experiment that goes through the
-// testbed must produce byte-identical fabric traces, identical result
-// tables, and an identical event count whether it runs on the classic
-// single kernel or under a multi-shard engine, at any GOMAXPROCS.
-// The cluster workload stays shard-0-resident (Spec.Shards doc), so
-// the multi-shard runs exercise the conservative windowing machinery —
-// window bounds, barrier scans, inline single-shard dispatch — without
-// changing the schedule.
+// TestShardMatrixDeterminism is the GOMAXPROCS matrix for the
+// full stack: the faceverify and pipeline fabric traces, the figure8
+// and chaos-fv tables, and the event count must not depend on how many
+// OS threads the Go scheduler may use. The kernel hands control
+// between task goroutines one at a time, so nothing the host
+// scheduler decides may leak into the simulation.
 func TestShardMatrixDeterminism(t *testing.T) {
-	cfg := faceverify.Config{Batch: 8, Files: 2, Slots: 1}
-	fvTrace := func() string {
-		fv := &stacks.FaceVerify{Cfg: cfg}
-		spec := testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
-			Services: []testbed.Service{fv}}
-		return captureTrace(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
-			rng := newRand(5)
-			for i := 0; i < cfg.Files; i++ {
-				r := faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-				if _, err := fv.Verify(tk, r); err != nil {
-					t.Errorf("faceverify request %d: %v", i, err)
-					return
-				}
-			}
-		})
-	}
-	plTrace := func() string {
-		return captureTrace(t, testbed.Spec{Nodes: 5}, func(tk *sim.Task, d *testbed.Deployment) {
-			pl := newPipeline(tk, d.Cl, 4, 4<<10)
-			pl.runStar(tk)
-			pl.runFastStar(tk)
-			pl.runChain(tk)
-		})
-	}
-
 	type snapshot struct {
 		fvTrace, plTrace string
 		figure8, chaos   *Table
@@ -171,38 +137,34 @@ func TestShardMatrixDeterminism(t *testing.T) {
 	capture := func() snapshot {
 		var s snapshot
 		e0 := sim.TotalEvents()
-		s.fvTrace = fvTrace()
-		s.plTrace = plTrace()
+		s.fvTrace = traceFV(t)
+		s.plTrace = tracePipeline(t)
 		s.figure8 = Figure8()
 		s.chaos = ChaosFaceVerify()
 		s.events = sim.TotalEvents() - e0
 		return s
 	}
 
-	base := capture() // shards=1, ambient GOMAXPROCS
-	for _, shards := range []int{1, 2, 4} {
-		for _, procs := range []int{1, 4} {
-			oldShards := testbed.SetDefaultShards(shards)
-			oldProcs := runtime.GOMAXPROCS(procs)
-			got := capture()
-			runtime.GOMAXPROCS(oldProcs)
-			testbed.SetDefaultShards(oldShards)
+	base := capture() // ambient GOMAXPROCS
+	for _, procs := range []int{1, 4} {
+		oldProcs := runtime.GOMAXPROCS(procs)
+		got := capture()
+		runtime.GOMAXPROCS(oldProcs)
 
-			name := fmt.Sprintf("shards=%d procs=%d", shards, procs)
-			diffTraces(t, name+" faceverify", base.fvTrace, got.fvTrace)
-			diffTraces(t, name+" pipeline", base.plTrace, got.plTrace)
-			if !reflect.DeepEqual(base.figure8.Rows, got.figure8.Rows) ||
-				!reflect.DeepEqual(base.figure8.Metrics, got.figure8.Metrics) {
-				t.Errorf("%s: figure8 results differ from single-shard run", name)
-			}
-			if !reflect.DeepEqual(base.chaos.Rows, got.chaos.Rows) ||
-				!reflect.DeepEqual(base.chaos.Metrics, got.chaos.Metrics) {
-				t.Errorf("%s: chaos-fv results differ from single-shard run", name)
-			}
-			if got.events != base.events {
-				t.Errorf("%s: processed %d events, single-shard run processed %d",
-					name, got.events, base.events)
-			}
+		name := fmt.Sprintf("procs=%d", procs)
+		diffTraces(t, name+" faceverify", base.fvTrace, got.fvTrace)
+		diffTraces(t, name+" pipeline", base.plTrace, got.plTrace)
+		if !reflect.DeepEqual(base.figure8.Rows, got.figure8.Rows) ||
+			!reflect.DeepEqual(base.figure8.Metrics, got.figure8.Metrics) {
+			t.Errorf("%s: figure8 results differ from the ambient run", name)
+		}
+		if !reflect.DeepEqual(base.chaos.Rows, got.chaos.Rows) ||
+			!reflect.DeepEqual(base.chaos.Metrics, got.chaos.Metrics) {
+			t.Errorf("%s: chaos-fv results differ from the ambient run", name)
+		}
+		if got.events != base.events {
+			t.Errorf("%s: processed %d events, the ambient run processed %d",
+				name, got.events, base.events)
 		}
 	}
 }

@@ -321,26 +321,14 @@ func (n *Net) ResetStats() { n.stats = Stats{} }
 // Attach registers an endpoint at loc with an arena of arenaSize
 // bytes (0 for none).
 func (n *Net) Attach(name string, loc Location, arenaSize int) *Endpoint {
-	return n.attachAt(EndpointID(len(n.eps)), name, loc, arenaSize)
-}
-
-// attachAt registers an endpoint under a caller-chosen id, leaving nil
-// gaps below it. The Mesh uses this to give every endpoint in a
-// partitioned fabric a globally unique id (so traces are identical no
-// matter how nodes map to shards) while each shard's Net only holds
-// its own endpoints.
-func (n *Net) attachAt(id EndpointID, name string, loc Location, arenaSize int) *Endpoint {
-	for len(n.eps) <= int(id) {
-		n.eps = append(n.eps, nil)
-	}
 	e := &Endpoint{
-		ID:    id,
+		ID:    EndpointID(len(n.eps)),
 		Name:  name,
 		Loc:   loc,
 		Inbox: sim.NewChan[Delivery](n.k, name+".inbox", 0),
 	}
 	e.arenaSize = arenaSize
-	n.eps[id] = e
+	n.eps = append(n.eps, e)
 	n.ensureLinks(loc.Node)
 	return e
 }

@@ -8,7 +8,7 @@
 // functions of the member view plus their own explicit state, load
 // signals are virtual-time queue depths, and ties break toward the
 // lowest member id — so a fixed seed and policy produce byte-identical
-// routing decisions and fabric traces at any shard count (pinned by
+// routing decisions and fabric traces at any GOMAXPROCS (pinned by
 // this package's determinism tests).
 package route
 

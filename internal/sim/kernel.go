@@ -19,9 +19,6 @@
 // None of this changes the event order contract above — the merged pop
 // order is exactly the global (timestamp, sequence) order the original
 // binary heap produced.
-//
-// For partition-parallel simulation (conservative-lookahead PDES
-// across multiple kernels) see engine.go.
 package sim
 
 import (
@@ -228,21 +225,13 @@ func (r *eventRing) popFront() *event {
 // killSignal unwinds a task goroutine during Kernel.Shutdown.
 type killSignal struct{}
 
-// run-loop bounding modes (loop's mode parameter).
-const (
-	modeAll      int8 = iota // drain everything
-	modeDeadline             // events at <= bound; clamp clock to bound on exit
-	modeWindow               // events at < bound; leave clock at the last event
-)
-
 // Kernel is a discrete-event scheduler. Create one with New, populate
 // it with Spawn, and drive it with Run or RunUntil.
 //
 // A Kernel is not safe for concurrent use from multiple OS threads;
 // all interaction must happen either from the goroutine that calls
 // Run, or from within task functions (which are serialized by the
-// kernel itself). Under an Engine each shard kernel is driven by at
-// most one worker at a time, preserving the same exclusivity.
+// kernel itself).
 type Kernel struct {
 	now      Time
 	seq      uint64
@@ -269,12 +258,6 @@ type Kernel struct {
 	// process-wide totalEvents counter when a run loop exits.
 	processed uint64
 
-	// Engine wiring (nil/zero outside partition-parallel runs).
-	eng     *Engine   // owning engine, nil for a standalone kernel
-	shard   int       // this kernel's shard index under eng
-	outbox  [][]xpost // per-destination-shard cross-shard posts, drained at barriers
-	postSeq uint64    // sequence numbers for this shard's cross-shard posts
-
 	// wall-clock pacing (see realtime.go).
 	rtFactor float64
 	rtAnchor time.Time
@@ -298,7 +281,7 @@ func (k *Kernel) Now() Time { return k.now }
 // from the seed (rand.Source construction is a measurable cost for
 // short-lived kernels that never draw randomness). It must only be
 // used from this kernel's task or kernel context, and never retained
-// by state shared across shards.
+// by state that outlives the kernel or is shared with another one.
 func (k *Kernel) Rand() *rand.Rand {
 	if k.rng == nil {
 		k.rng = rand.New(rand.NewSource(k.seed))
@@ -528,25 +511,17 @@ func (t *Task) Yield() { t.Sleep(0) }
 // returns the final virtual time. Run must be called from the
 // goroutine that created the kernel.
 func (k *Kernel) Run() Time {
-	return k.loop(0, modeAll)
+	return k.loop(maxTime)
 }
 
-// RunUntil executes events with timestamps <= deadline.
+// RunUntil executes events with timestamps <= deadline and leaves the
+// clock at deadline if events remain beyond it.
 func (k *Kernel) RunUntil(deadline Time) Time {
-	return k.loop(deadline, modeDeadline)
-}
-
-// runWindow executes events with timestamps strictly below limit and
-// returns. Unlike RunUntil it never advances the clock to the bound:
-// the clock stays at the last processed event, so a later window (or
-// a cross-shard delivery between windows) continues seamlessly. Used
-// by the Engine's conservative-lookahead loop.
-func (k *Kernel) runWindow(limit Time) {
-	k.loop(limit, modeWindow)
+	return k.loop(deadline)
 }
 
 //fractos:hotpath
-func (k *Kernel) loop(bound Time, mode int8) Time {
+func (k *Kernel) loop(deadline Time) Time {
 	defer k.flushProcessed()
 	for (k.runq.n > 0 || k.heap.len() > 0) && !k.stopped {
 		// Choose the next event in global (at, seq) order. Run-queue
@@ -560,11 +535,8 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 		} else {
 			e = k.runq.front()
 		}
-		if mode == modeDeadline && e.at > bound {
-			k.now = bound
-			return k.now
-		}
-		if mode == modeWindow && e.at >= bound {
+		if e.at > deadline {
+			k.now = deadline
 			return k.now
 		}
 		if fromHeap {
@@ -614,17 +586,6 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 func (k *Kernel) flushProcessed() {
 	totalEvents.Add(k.processed)
 	k.processed = 0
-}
-
-// nextAt reports the timestamp of the kernel's earliest pending event.
-func (k *Kernel) nextAt() (Time, bool) {
-	if k.runq.n > 0 {
-		return k.now, true
-	}
-	if k.heap.len() > 0 {
-		return k.heap.es[0].at, true
-	}
-	return 0, false
 }
 
 // Stop makes Run return after the current event completes.

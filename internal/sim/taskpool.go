@@ -8,11 +8,11 @@ import (
 // Task pooling: Spawn used to allocate a Task struct, a handoff
 // channel, and a fresh goroutine (plus its trampoline closure) per
 // task — ~4 allocations and a goroutine-start for every spawn, the
-// dominant cost of task-churn workloads (kernel/spawn, million-task
-// scale runs). Instead, finished tasks park their goroutine on a
-// process-wide free stack and Spawn re-arms one: the trampoline
-// goroutine blocks on its existing hand channel between lives, so a
-// warm Spawn is a couple of field stores and a map insert.
+// dominant cost of task-churn workloads (kernel/spawn). Instead,
+// finished tasks park their goroutine on a process-wide free stack
+// and Spawn re-arms one: the trampoline goroutine blocks on its
+// existing hand channel between lives, so a warm Spawn is a couple of
+// field stores and a map insert.
 //
 // The pool is deliberately a mutex-guarded stack rather than a
 // sync.Pool: each pooled Task owns a live parked goroutine, and
@@ -20,13 +20,14 @@ import (
 // goroutines forever. Overflowing the bounded stack instead lets the
 // trampoline return, ending its goroutine.
 //
-// Safety across kernels and engine shards: the stack is shared by
-// every kernel in the process (including parallel shard workers), so
-// pushes and pops are mutex-serialized; a task is only repooled after
-// its kernel has unlinked it from the task table and cancelled any
+// Safety across kernels: the stack is shared by every kernel in the
+// process, and nothing stops two kernels from running at once on
+// different goroutines (two parallel tests in one binary), so pushes
+// and pops are mutex-serialized; a task is only repooled after its
+// kernel has unlinked it from the task table and cancelled any
 // pending wake, so a pooled Task is referenced by nothing but the
 // stack and its own goroutine. Which physical Task struct a Spawn
-// receives is scheduling-dependent under parallel shards — that is
+// receives depends on how concurrent kernels interleave — that is
 // fine because task identity is never observable: ids are per-kernel
 // spawn-ordered, and all scheduling state (wake, done, killed) is
 // reset on re-arm.

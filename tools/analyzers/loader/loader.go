@@ -123,8 +123,10 @@ func (l *Loader) Load(paths ...string) ([]*Package, error) {
 }
 
 // LoadModule loads every package of the configured module, walking
-// ModuleDir. Directories named "testdata", hidden directories, and
-// directories without non-test Go files are skipped.
+// ModuleDir. Directories named "testdata", hidden directories,
+// directories holding their own go.mod (a nested module, which
+// `go build ./...` leaves out too), and directories without non-test
+// Go files are skipped.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	l.init()
 	if l.ModuleDir == "" {
@@ -141,6 +143,11 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 		name := info.Name()
 		if path != l.ModuleDir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != l.ModuleDir {
+			if _, serr := os.Stat(filepath.Join(path, "go.mod")); serr == nil {
+				return filepath.SkipDir
+			}
 		}
 		if len(goFilesIn(path, false)) == 0 {
 			return nil
