@@ -40,9 +40,10 @@ chaos:
 # determinism runs the determinism tests under the race detector at 1
 # and 4 CPUs: byte-identical traces, tables and event counts across
 # runs and GOMAXPROCS (the kernel's seeded-workload property test and
-# the full-stack experiment matrix).
+# the full-stack experiment matrix), plus the kernel's TestDispatch*
+# tests of the event loop as run by task goroutines.
 determinism:
-	$(GO) test -race -cpu 1,4 -count=1 -run 'Determinism' \
+	$(GO) test -race -cpu 1,4 -count=1 -run 'Determinism|Dispatch' \
 		./internal/sim/ ./internal/exp/
 
 bench:

@@ -64,6 +64,44 @@ func TestAllocGateKernelDispatch(t *testing.T) {
 	}
 }
 
+// TestAllocGateKernelTaskDispatch pins the same property for the event
+// loop as run by task goroutines (sim.Task.park): two tasks receive
+// from sim.Chans fed by future After closures — the fabric's delivery
+// pattern — so each message is a closure the parked task runs inline
+// at a later instant plus the wake it causes. Warm RunUntil windows
+// over the long-lived tasks must not allocate per event.
+func TestAllocGateKernelTaskDispatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const window = sim.Time(20000) // 20 µs: ~270 messages, ~530 events
+	k := sim.New(1)
+	defer k.Shutdown()
+	for _, d := range []sim.Time{100, 300} {
+		inbox := sim.NewChan[int](k, "inbox", 0)
+		feed := func() { inbox.TrySend(1) }
+		k.Spawn("rx", func(tk *sim.Task) {
+			for {
+				k.After(d, feed)
+				inbox.Recv(tk)
+			}
+		})
+	}
+	// Warm-up window: primes the event pool, the heap and the channels'
+	// waiter free lists.
+	k.RunUntil(k.Now() + window)
+	e0 := sim.TotalEvents()
+	k.RunUntil(k.Now() + window)
+	eventsPerRun := float64(sim.TotalEvents() - e0)
+	perRun := testing.AllocsPerRun(20, func() {
+		k.RunUntil(k.Now() + window)
+	})
+	if perEvent := perRun / eventsPerRun; perEvent > 0.01 {
+		t.Errorf("task-driven dispatch allocates %.4f objects/event (%.1f per %.0f-event window); hot path must be allocation-free",
+			perEvent, perRun, eventsPerRun)
+	}
+}
+
 // TestAllocGateWireMarshal pins the wire codec's allocation contract:
 // Marshal performs exactly one allocation (the exact-size buffer), and
 // the pooled GetWriter/MarshalTo/Release path performs none at steady

@@ -66,6 +66,7 @@ func Cases() []Case {
 		{"kernel/dispatch", benchKernelDispatch},
 		{"kernel/timers", benchKernelTimers},
 		{"kernel/pingpong", benchKernelPingpong},
+		{"kernel/deliver", benchKernelDeliver},
 		{"kernel/spawn", benchKernelSpawn},
 		{"wire/invoke", benchWireInvoke},
 		{"wire/memcopy", benchWireMemCopy},
@@ -236,6 +237,34 @@ func benchKernelPingpong(b *testing.B) {
 			}
 			ping.Close()
 		})
+		k.Run()
+		k.Shutdown()
+	}
+}
+
+// benchKernelDeliver measures the fabric's delivery pattern
+// (fabric.Net.Send): a closure scheduled into the future delivers into
+// a Chan with TrySend, waking the task parked in Recv. 16 receivers
+// each re-arm their own delivery after every message, with distinct
+// delays that rarely line up (like transfer times on the fabric), so
+// nearly every wake comes at a new instant and lands on another task
+// than the one that parked: 16k events per op, half closures, half
+// wakes.
+func benchKernelDeliver(b *testing.B) {
+	const receivers, msgs = 16, 500
+	for i := 0; i < b.N; i++ {
+		k := sim.New(9)
+		for j := 0; j < receivers; j++ {
+			d := sim.Time(97 + 31*j)
+			inbox := sim.NewChan[int](k, "inbox", 0)
+			deliver := func() { inbox.TrySend(1) }
+			k.Spawn("rx", func(t *sim.Task) {
+				for m := 0; m < msgs; m++ {
+					k.After(d, deliver)
+					inbox.Recv(t)
+				}
+			})
+		}
 		k.Run()
 		k.Shutdown()
 	}

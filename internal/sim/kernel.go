@@ -13,12 +13,19 @@
 // pooled structs ordered by a concrete 4-ary index heap; events
 // scheduled for the current instant bypass the heap through a FIFO run
 // queue; task goroutines are pooled trampolines (taskpool.go) resumed
-// over a per-task handoff channel and yielding through a single shared
-// channel, which lets a parking task hand control directly to the next
-// runnable task without a round trip through the kernel goroutine.
-// None of this changes the event order contract above — the merged pop
-// order is exactly the global (timestamp, sequence) order the original
-// binary heap produced.
+// over a per-task handoff channel.
+//
+// Who runs the event loop: whichever goroutine holds control. Run's
+// caller (the driver) starts it, but a task that parks or finishes
+// keeps popping events itself (dispatch): it runs kernel-context
+// closures inline and hands control straight to the next task to wake,
+// or simply returns if that task is itself. So a wake costs at most one
+// goroutine switch. Control goes back to the driver, over the shared
+// yield channel, only when nothing may run: the queue is empty, the
+// next event lies past the RunUntil deadline, Stop was called, or
+// something panicked. None of this changes the event order contract
+// above — every pop, on any goroutine, takes the next event in global
+// (timestamp, sequence) order.
 package sim
 
 import (
@@ -239,23 +246,25 @@ type Kernel struct {
 	runq     eventRing
 	free     []*event // pooled event structs
 	slab     []event  // slab the free list refills from, carved one struct at a time
-	running  *Task
 	tasks    map[uint64]*Task
 	nextID   uint64
 	seed     int64
 	rng      *rand.Rand // lazily built from seed on first Rand()
 	stopped  bool
-	panicMsg string
+	deadline Time // the running loop's bound: events past it stay queued
 
-	// yield is the shared task→kernel handoff: whichever task ends a
-	// run burst (parks with nothing else runnable at this instant, or
-	// finishes) sends one token here to return control to the loop.
-	// Resumes stay per-task over Task.hand.
+	// panicVal is the first panic of a task or of a closure run on a
+	// task's goroutine; the driver re-raises it once control returns.
+	panicVal any
+
+	// yield is the shared task→driver handoff: a task whose dispatch
+	// finds nothing it may run sends one token here to return control
+	// to Run's caller. Resumes stay per-task over Task.hand.
 	yield chan struct{}
 
-	// processed accumulates popped events across loop iterations and
-	// same-instant fast-path switches (Task.park); flushed into the
-	// process-wide totalEvents counter when a run loop exits.
+	// processed accumulates popped events on whichever goroutine pops
+	// them; flushed into the process-wide totalEvents counter when a
+	// run loop exits.
 	processed uint64
 
 	// wall-clock pacing (see realtime.go).
@@ -336,10 +345,10 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	return t
 }
 
-// fail records a task panic; Run re-panics with this message.
-func (k *Kernel) fail(msg string) {
-	if k.panicMsg == "" {
-		k.panicMsg = msg
+// fail records a panic for the driver to re-raise; the first one wins.
+func (k *Kernel) fail(v any) {
+	if k.panicVal == nil {
+		k.panicVal = v
 	}
 }
 
@@ -408,7 +417,9 @@ func (k *Kernel) cancel(e *event) {
 	}
 }
 
-// After schedules fn to run in kernel context at now+d. fn must not
+// After schedules fn to run in kernel context at now+d: on whichever
+// goroutine is running the event loop (Run's caller, or the task that
+// last parked or finished), never alongside a task. fn must not
 // block; to perform blocking work, have fn call Spawn.
 //
 //fractos:hotpath
@@ -422,52 +433,21 @@ func (k *Kernel) After(d Time, fn func()) {
 // park blocks the calling task until the kernel wakes it.
 // Must be called from the running task's goroutine.
 //
-// Fast path: if the next event in global (at, seq) order is another
-// task's wake at the current instant, control switches directly to
-// that task — one channel operation instead of two round trips
-// through the kernel goroutine. If it is the calling task's own wake
-// (Yield with nothing else runnable), park returns without blocking
-// at all. The pop here follows exactly the selection rule of the run
-// loop, so event order is byte-identical with the fast path on or off.
+// The parking task runs the event loop itself (dispatch) rather than
+// returning to the driver: closures run inline on this goroutine, and
+// the wake that ends the burst decides the switch. If it is the calling
+// task's own wake, park returns without blocking at all; another task
+// is resumed directly, one channel send; only when nothing may run does
+// control go back to the driver.
 //
 //fractos:hotpath
 func (t *Task) park() {
 	k := t.k
-	for k.runq.n > 0 && !k.stopped && k.panicMsg == "" &&
-		(k.heap.len() == 0 || k.heap.es[0].at != k.now) {
-		e := k.runq.front()
-		nt := e.task
-		if nt == nil {
-			if e.fn != nil {
-				break // kernel-context closure: the run loop must execute it
-			}
-			k.runq.popFront() // cancelled tombstone: reclaim and keep scanning
-			k.processed++
-			k.release(e)
-			continue
-		}
-		if nt.done {
-			break // stale wake: let the run loop discard it
-		}
-		k.runq.popFront()
-		k.processed++
-		if nt.wake == e {
-			nt.wake = nil
-		}
-		k.release(e)
-		if nt == t {
-			return // our own wake is next: keep running, no switch at all
-		}
-		k.running = nt
-		nt.hand <- struct{}{} // direct task-to-task switch
-		<-t.hand
-		if t.killed {
-			//fractos:panic-ok cooperative kill: caught by the task trampoline's recover
-			panic(killSignal{})
-		}
-		return
+	nt := k.dispatch()
+	if nt == t {
+		return // our own wake is next: keep running, no switch at all
 	}
-	k.yield <- struct{}{} // nothing runnable here: return control to the run loop
+	k.resume(nt)
 	<-t.hand
 	if t.killed {
 		//fractos:panic-ok cooperative kill: caught by the task trampoline's recover
@@ -520,24 +500,61 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	return k.loop(deadline)
 }
 
+// loop is the driver: it runs closures until next hands it a task to
+// resume. From then on the resumed tasks drive dispatch among
+// themselves, and the yield that hands control back means next has
+// nothing left for this run.
+//
 //fractos:hotpath
 func (k *Kernel) loop(deadline Time) Time {
 	defer k.flushProcessed()
-	for (k.runq.n > 0 || k.heap.len() > 0) && !k.stopped {
-		// Choose the next event in global (at, seq) order. Run-queue
-		// entries all carry the current timestamp and were sequenced
-		// after every same-instant heap entry, so the heap goes first
-		// only while its minimum is at the current instant.
+	k.deadline = deadline
+	for {
+		t, fn := k.next()
+		if fn != nil {
+			fn()
+			continue
+		}
+		if t == nil {
+			return k.now
+		}
+		t.hand <- struct{}{}
+		<-k.yield
+		if v := k.panicVal; v != nil {
+			k.panicVal = nil
+			//fractos:panic-ok re-surfacing a task's or inline closure's panic on the driver goroutine
+			panic(v)
+		}
+	}
+}
+
+// next pops events in global (at, seq) order, advancing (and pacing)
+// the clock, until one asks for something: a closure to run in kernel
+// context or a task to resume. Tombstones and stale wakes of finished
+// tasks are released on the way. Both results are nil, and the queues
+// are left as they are, when nothing may run: both queues are empty,
+// the next event lies past the loop's deadline (the clock then moves to
+// the deadline), Stop was called, or a panic awaits the driver.
+//
+//fractos:hotpath
+func (k *Kernel) next() (*Task, func()) {
+	for !k.stopped && k.panicVal == nil {
+		// Run-queue entries all carry the current timestamp and were
+		// sequenced after every same-instant heap entry, so the heap
+		// goes first only while its minimum is at the current instant.
 		var e *event
 		fromHeap := k.runq.n == 0 || (k.heap.len() > 0 && k.heap.es[0].at == k.now)
 		if fromHeap {
+			if k.heap.len() == 0 {
+				break
+			}
 			e = k.heap.es[0]
 		} else {
 			e = k.runq.front()
 		}
-		if e.at > deadline {
-			k.now = deadline
-			return k.now
+		if e.at > k.deadline {
+			k.now = k.deadline
+			break
 		}
 		if fromHeap {
 			k.heap.pop()
@@ -549,36 +566,70 @@ func (k *Kernel) loop(deadline Time) Time {
 			k.pace(e.at)
 			k.now = e.at
 		}
-		switch {
-		case e.task != nil:
-			t := e.task
-			if t.wake == e {
-				t.wake = nil
-			}
-			k.release(e)
-			if t.done {
-				continue // stale wake for a finished task
-			}
-			k.running = t
-			t.hand <- struct{}{}
-			<-k.yield
-			k.running = nil
-			if k.panicMsg != "" {
-				msg := k.panicMsg
-				k.panicMsg = ""
-				//fractos:panic-ok re-surfacing a task's panic on the driver goroutine
-				panic(msg)
-			}
-		case e.fn != nil:
-			fn := e.fn
-			k.release(e)
-			fn()
-		default:
-			// Tombstone from a cancelled run-queue entry.
-			k.release(e)
+		t, fn := e.task, e.fn
+		if t != nil && t.wake == e {
+			t.wake = nil
+		}
+		k.release(e)
+		if fn != nil || (t != nil && !t.done) {
+			return t, fn
 		}
 	}
-	return k.now
+	return nil, nil
+}
+
+// dispatch is the event loop as run by a task that parks or finishes:
+// it runs closures inline on the calling goroutine and returns the next
+// task to resume, or nil when next finds nothing it may run (the driver
+// must take over).
+//
+//fractos:hotpath
+func (k *Kernel) dispatch() *Task {
+	t, fn := k.next()
+	if fn == nil {
+		return t // no closure to guard: skip runInline's deferred recover
+	}
+	return k.runInline(fn)
+}
+
+// runInline runs fn and every closure after it until next yields a
+// task or nothing. A closure that panics here must not unwind the
+// task, so recoverClosure records the panic for the driver to re-raise
+// and the nil result hands control back. The re-raise keeps the value
+// but not the closure's stack; closures the driver runs itself still
+// panic in place.
+//
+//fractos:hotpath
+func (k *Kernel) runInline(fn func()) *Task {
+	defer k.recoverClosure()
+	for {
+		fn()
+		t, next := k.next()
+		if next == nil {
+			return t
+		}
+		fn = next
+	}
+}
+
+// recoverClosure is runInline's deferred recover. It is a method, not a
+// func literal, so the hot path allocates no closure for it.
+func (k *Kernel) recoverClosure() {
+	if r := recover(); r != nil {
+		k.fail(r)
+	}
+}
+
+// resume passes control from the calling task to nt, or back to the
+// driver when nt is nil.
+//
+//fractos:hotpath
+func (k *Kernel) resume(nt *Task) {
+	if nt != nil {
+		nt.hand <- struct{}{}
+	} else {
+		k.yield <- struct{}{}
+	}
 }
 
 // flushProcessed publishes the batched event count to the global
@@ -598,9 +649,9 @@ func (k *Kernel) Live() int { return len(k.tasks) }
 // called from kernel context (after Run returns). The kernel must not
 // be used afterwards.
 func (k *Kernel) Shutdown() {
-	// Stopping first disables park's direct-switch fast path, so every
+	// Stopping first makes dispatch find nothing to run, so every
 	// unwinding task returns control here rather than resuming stale
-	// run-queue work.
+	// queued work.
 	k.stopped = true
 	if len(k.tasks) == 0 {
 		return // nothing to unwind (and no id-slice/sort allocation)

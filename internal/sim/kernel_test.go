@@ -454,9 +454,9 @@ func TestTaskPoolRecycles(t *testing.T) {
 	}
 }
 
-// TestDirectSwitchKeepsOrder pins the park fast path against the
-// kernel-loop scheduling order: two tasks ping-ponging over channels
-// at one instant interleave exactly FIFO.
+// TestDirectSwitchKeepsOrder pins park's direct task-to-task switch
+// against the global scheduling order: two tasks ping-ponging over
+// channels at one instant interleave exactly FIFO.
 func TestDirectSwitchKeepsOrder(t *testing.T) {
 	k := New(3)
 	ch := NewChan[int](k, "pp", 1)

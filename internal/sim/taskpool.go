@@ -82,7 +82,10 @@ func putTask(t *Task) bool {
 // lifetime. The goroutine parks on the hand channel between lives;
 // Spawn's wake event eventually resumes it with fresh k/id/name/fn
 // fields (the channel handoff is the happens-before edge making those
-// writes visible).
+// writes visible). A finished task keeps the event loop going, like a
+// parking one (Task.park): it dispatches and hands control straight to
+// the next task, or to the driver when nothing may run. The task is
+// repooled only after that handoff (finish already cancelled its wake).
 func taskMain(t *Task) {
 	for {
 		<-t.hand
@@ -93,7 +96,7 @@ func taskMain(t *Task) {
 		t.exec()
 		k := t.k
 		t.k, t.fn, t.name = nil, nil, ""
-		k.yield <- struct{}{}
+		k.resume(k.dispatch())
 		if !putTask(t) {
 			return
 		}
