@@ -39,9 +39,10 @@ chaos:
 
 # determinism runs the determinism tests under the race detector at 1
 # and 4 CPUs: byte-identical traces, tables and event counts across
-# runs and GOMAXPROCS (the kernel's seeded-workload property test and
-# the full-stack experiment matrix), plus the kernel's TestDispatch*
-# tests of the event loop as run by task goroutines.
+# runs and GOMAXPROCS (the kernel's seeded-workload property test, two
+# kernels sharing the task pool from two goroutines, and the full-stack
+# experiment matrix), plus the kernel's TestDispatch* tests of the
+# event loop and its coroutine switches.
 determinism:
 	$(GO) test -race -cpu 1,4 -count=1 -run 'Determinism|Dispatch' \
 		./internal/sim/ ./internal/exp/

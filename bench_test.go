@@ -65,10 +65,10 @@ func TestAllocGateKernelDispatch(t *testing.T) {
 }
 
 // TestAllocGateKernelTaskDispatch pins the same property for the event
-// loop as run by task goroutines (sim.Task.park): two tasks receive
-// from sim.Chans fed by future After closures — the fabric's delivery
-// pattern — so each message is a closure the parked task runs inline
-// at a later instant plus the wake it causes. Warm RunUntil windows
+// loop with tasks in it (sim.Task.park and the coroutine switches
+// around it): two tasks receive from sim.Chans fed by future After
+// closures — the fabric's delivery pattern — so each message is a
+// closure the driver runs at a later instant plus the wake it causes. Warm RunUntil windows
 // over the long-lived tasks must not allocate per event.
 func TestAllocGateKernelTaskDispatch(t *testing.T) {
 	if raceEnabled {

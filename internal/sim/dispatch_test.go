@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// These tests cover the event loop as run by task goroutines: a task
-// that parks or finishes pops events itself (Kernel.dispatch), runs
-// closures inline and hands control straight to the next task.
+// These tests cover the event loop and the switches around it: the
+// driver (Run's caller) pops every event and runs closures itself, and
+// a task that parks or finishes switches its coroutine straight back to
+// the driver, which resumes the next task.
 
 // goid returns the calling goroutine's id, parsed from its stack header
 // ("goroutine 42 [running]:"), so a test can tell which goroutine ran a
@@ -56,11 +57,10 @@ type closurePanic struct{ at Time }
 
 func TestDispatchClosurePanicKeepsValue(t *testing.T) {
 	k := New(1)
-	var gTask, gClosure uint64
+	var gClosure uint64
 	woke := Time(-1)
 	k.Spawn("sleeper", func(tk *Task) {
-		gTask = goid()
-		tk.Sleep(us(10)) // parked: its dispatch runs the closure at 5 µs
+		tk.Sleep(us(10)) // parked: the driver runs the closure at 5 µs
 		woke = tk.Now()
 	})
 	k.After(us(5), func() {
@@ -71,8 +71,8 @@ func TestDispatchClosurePanicKeepsValue(t *testing.T) {
 	if p, ok := r.(closurePanic); !ok || p.at != us(5) {
 		t.Fatalf("Run panicked with %#v, want closurePanic{at: 5µs}", r)
 	}
-	if gClosure != gTask {
-		t.Fatalf("closure ran on goroutine %d, want the parked task's %d", gClosure, gTask)
+	if g := goid(); gClosure != g {
+		t.Fatalf("closure ran on goroutine %d, want Run's caller %d", gClosure, g)
 	}
 	// The panic did not unwind the task: it is still parked and wakes
 	// on time once the driver runs again.
@@ -148,9 +148,8 @@ func TestDispatchFinishingTaskHandsOff(t *testing.T) {
 	log := &eventLog{k: k}
 	in := NewChan[int](k, "in", 0)
 	never := NewChan[int](k, "never", 0)
-	var gShort, gClosure uint64
+	var gClosure uint64
 	k.Spawn("short", func(tk *Task) {
-		gShort = goid()
 		tk.Sleep(us(3))
 		log.add("short done")
 	})
@@ -170,10 +169,11 @@ func TestDispatchFinishingTaskHandsOff(t *testing.T) {
 	})
 	k.Run()
 	log.check(t, "3 short done", "4 feed", "4 rx 7")
-	// short finished with every other task blocked: its trampoline
-	// dispatched, ran the 4 µs closure itself and resumed rx directly.
-	if gClosure != gShort {
-		t.Fatalf("closure ran on goroutine %d, want the finished task's %d", gClosure, gShort)
+	// short finished with every other task blocked: its coroutine
+	// switched back to the driver, which ran the 4 µs closure itself
+	// and then resumed rx.
+	if g := goid(); gClosure != g {
+		t.Fatalf("closure ran on goroutine %d, want Run's caller %d", gClosure, g)
 	}
 	if k.Live() != 1 {
 		t.Fatalf("live=%d before Shutdown, want 1 (stuck)", k.Live())

@@ -1,10 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation
 // kernel. All FractOS entities (Controllers, Processes, devices, NICs)
 // run as cooperatively scheduled actors ("tasks") under a virtual
-// clock. Exactly one task executes at any moment; control is handed
-// between the kernel and tasks over channels, so task code can be
-// written in a natural blocking style while the simulation stays
-// deterministic and race-free.
+// clock. Exactly one task executes at any moment; each task is a
+// runtime coroutine that the kernel resumes and that yields back when
+// it blocks, so task code can be written in a natural blocking style
+// while the simulation stays deterministic and race-free.
 //
 // Two runs of the same program over the same kernel produce identical
 // event orders and identical virtual timestamps.
@@ -12,20 +12,15 @@
 // Hot-path design (see docs/PERFORMANCE.md): events are slab-allocated
 // pooled structs ordered by a concrete 4-ary index heap; events
 // scheduled for the current instant bypass the heap through a FIFO run
-// queue; task goroutines are pooled trampolines (taskpool.go) resumed
-// over a per-task handoff channel.
+// queue; tasks are pooled iter.Pull coroutines (taskpool.go).
 //
-// Who runs the event loop: whichever goroutine holds control. Run's
-// caller (the driver) starts it, but a task that parks or finishes
-// keeps popping events itself (dispatch): it runs kernel-context
-// closures inline and hands control straight to the next task to wake,
-// or simply returns if that task is itself. So a wake costs at most one
-// goroutine switch. Control goes back to the driver, over the shared
-// yield channel, only when nothing may run: the queue is empty, the
-// next event lies past the RunUntil deadline, Stop was called, or
-// something panicked. None of this changes the event order contract
-// above — every pop, on any goroutine, takes the next event in global
-// (timestamp, sequence) order.
+// Who runs the event loop: Run's caller (the driver), alone. It pops
+// every event in global (timestamp, sequence) order, runs kernel-context
+// closures itself, and resumes a task by switching straight to the
+// task's coroutine; the task's next park switches straight back. A
+// coroutine switch hands the thread from one goroutine to the other
+// without going through the scheduler's run queue, so a wake wakes no
+// idle P and sleeps on no futex.
 package sim
 
 import (
@@ -229,7 +224,7 @@ func (r *eventRing) popFront() *event {
 	return e
 }
 
-// killSignal unwinds a task goroutine during Kernel.Shutdown.
+// killSignal unwinds a task body during Kernel.Shutdown.
 type killSignal struct{}
 
 // Kernel is a discrete-event scheduler. Create one with New, populate
@@ -253,18 +248,8 @@ type Kernel struct {
 	stopped  bool
 	deadline Time // the running loop's bound: events past it stay queued
 
-	// panicVal is the first panic of a task or of a closure run on a
-	// task's goroutine; the driver re-raises it once control returns.
-	panicVal any
-
-	// yield is the shared task→driver handoff: a task whose dispatch
-	// finds nothing it may run sends one token here to return control
-	// to Run's caller. Resumes stay per-task over Task.hand.
-	yield chan struct{}
-
-	// processed accumulates popped events on whichever goroutine pops
-	// them; flushed into the process-wide totalEvents counter when a
-	// run loop exits.
+	// processed accumulates popped events; flushed into the
+	// process-wide totalEvents counter when a run loop exits.
 	processed uint64
 
 	// wall-clock pacing (see realtime.go).
@@ -279,7 +264,6 @@ func New(seed int64) *Kernel {
 	return &Kernel{
 		tasks: make(map[uint64]*Task),
 		seed:  seed,
-		yield: make(chan struct{}),
 	}
 }
 
@@ -301,16 +285,19 @@ func (k *Kernel) Rand() *rand.Rand {
 // Task is the handle a spawned function uses to interact with the
 // kernel: sleeping, reading the clock, and (via Chan and Future)
 // blocking on communication. A Task handle is only valid inside the
-// goroutine it was passed to.
+// task function it was passed to.
 type Task struct {
 	k    *Kernel
 	id   uint64
 	name string
 	fn   func(t *Task)
-	// hand resumes the task: the kernel (or a directly switching
-	// sibling task) sends one token here; the task blocks receiving.
-	// Yields go the other way over the kernel's shared yield channel.
-	hand   chan struct{}
+	// resume switches from the driver into the task's coroutine and
+	// returns when the task parks or finishes; yield, called on the
+	// coroutine, switches back and reports false once stop has ended
+	// the coroutine. See taskpool.go.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
 	wake   *event // pending wake event, nil if none queued
 	done   bool
 	killed bool
@@ -331,8 +318,8 @@ func (t *Task) Now() Time { return t.k.now }
 // Spawn creates a new task executing fn and schedules it to start at
 // the current virtual time. It may be called from kernel context
 // (before Run, or inside an After closure) or from task context.
-// Task structs and their trampoline goroutines come from a pooled
-// free list (taskpool.go), so steady-state Spawn allocates nothing.
+// Task structs and their coroutines come from a pooled free list
+// (taskpool.go), so steady-state Spawn allocates nothing.
 //
 //fractos:hotpath
 func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
@@ -340,16 +327,9 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	t := getTask()
 	t.k, t.id, t.name, t.fn = k, k.nextID, name, fn
 	t.done, t.killed = false, false
-	k.tasks[t.id] = t // fractos:pool-ok fractos:alloc-ok task table and trampoline share ownership; exec unlinks before the trampoline repools
+	k.tasks[t.id] = t // fractos:pool-ok fractos:alloc-ok task table and pool share ownership; exec unlinks before the driver repools
 	t.wake = k.schedule(k.now, t, nil)
 	return t
-}
-
-// fail records a panic for the driver to re-raise; the first one wins.
-func (k *Kernel) fail(v any) {
-	if k.panicVal == nil {
-		k.panicVal = v
-	}
 }
 
 // alloc takes an event struct from the pool. Refills carve a slab of
@@ -417,10 +397,10 @@ func (k *Kernel) cancel(e *event) {
 	}
 }
 
-// After schedules fn to run in kernel context at now+d: on whichever
-// goroutine is running the event loop (Run's caller, or the task that
-// last parked or finished), never alongside a task. fn must not
-// block; to perform blocking work, have fn call Spawn.
+// After schedules fn to run in kernel context at now+d: on the
+// goroutine running the event loop (Run's caller), never alongside a
+// task. fn must not block; to perform blocking work, have fn call
+// Spawn.
 //
 //fractos:hotpath
 func (k *Kernel) After(d Time, fn func()) {
@@ -430,27 +410,15 @@ func (k *Kernel) After(d Time, fn func()) {
 	k.schedule(k.now+d, nil, fn)
 }
 
-// park blocks the calling task until the kernel wakes it.
-// Must be called from the running task's goroutine.
-//
-// The parking task runs the event loop itself (dispatch) rather than
-// returning to the driver: closures run inline on this goroutine, and
-// the wake that ends the burst decides the switch. If it is the calling
-// task's own wake, park returns without blocking at all; another task
-// is resumed directly, one channel send; only when nothing may run does
-// control go back to the driver.
+// park blocks the calling task until the kernel wakes it: it yields
+// the task's coroutine, switching straight back to the driver, and
+// returns when the driver resumes it. Must be called from the running
+// task.
 //
 //fractos:hotpath
 func (t *Task) park() {
-	k := t.k
-	nt := k.dispatch()
-	if nt == t {
-		return // our own wake is next: keep running, no switch at all
-	}
-	k.resume(nt)
-	<-t.hand
-	if t.killed {
-		//fractos:panic-ok cooperative kill: caught by the task trampoline's recover
+	if !t.yield(struct{}{}) || t.killed {
+		//fractos:panic-ok cooperative kill: caught by Task.exec's recover
 		panic(killSignal{})
 	}
 }
@@ -500,10 +468,8 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	return k.loop(deadline)
 }
 
-// loop is the driver: it runs closures until next hands it a task to
-// resume. From then on the resumed tasks drive dispatch among
-// themselves, and the yield that hands control back means next has
-// nothing left for this run.
+// loop is the driver: it pops every event, runs closures in place and
+// resumes tasks (Task.run) until next has nothing left for this run.
 //
 //fractos:hotpath
 func (k *Kernel) loop(deadline Time) Time {
@@ -518,13 +484,7 @@ func (k *Kernel) loop(deadline Time) Time {
 		if t == nil {
 			return k.now
 		}
-		t.hand <- struct{}{}
-		<-k.yield
-		if v := k.panicVal; v != nil {
-			k.panicVal = nil
-			//fractos:panic-ok re-surfacing a task's or inline closure's panic on the driver goroutine
-			panic(v)
-		}
+		t.run()
 	}
 }
 
@@ -534,11 +494,11 @@ func (k *Kernel) loop(deadline Time) Time {
 // tasks are released on the way. Both results are nil, and the queues
 // are left as they are, when nothing may run: both queues are empty,
 // the next event lies past the loop's deadline (the clock then moves to
-// the deadline), Stop was called, or a panic awaits the driver.
+// the deadline), or Stop was called.
 //
 //fractos:hotpath
 func (k *Kernel) next() (*Task, func()) {
-	for !k.stopped && k.panicVal == nil {
+	for !k.stopped {
 		// Run-queue entries all carry the current timestamp and were
 		// sequenced after every same-instant heap entry, so the heap
 		// goes first only while its minimum is at the current instant.
@@ -578,60 +538,6 @@ func (k *Kernel) next() (*Task, func()) {
 	return nil, nil
 }
 
-// dispatch is the event loop as run by a task that parks or finishes:
-// it runs closures inline on the calling goroutine and returns the next
-// task to resume, or nil when next finds nothing it may run (the driver
-// must take over).
-//
-//fractos:hotpath
-func (k *Kernel) dispatch() *Task {
-	t, fn := k.next()
-	if fn == nil {
-		return t // no closure to guard: skip runInline's deferred recover
-	}
-	return k.runInline(fn)
-}
-
-// runInline runs fn and every closure after it until next yields a
-// task or nothing. A closure that panics here must not unwind the
-// task, so recoverClosure records the panic for the driver to re-raise
-// and the nil result hands control back. The re-raise keeps the value
-// but not the closure's stack; closures the driver runs itself still
-// panic in place.
-//
-//fractos:hotpath
-func (k *Kernel) runInline(fn func()) *Task {
-	defer k.recoverClosure()
-	for {
-		fn()
-		t, next := k.next()
-		if next == nil {
-			return t
-		}
-		fn = next
-	}
-}
-
-// recoverClosure is runInline's deferred recover. It is a method, not a
-// func literal, so the hot path allocates no closure for it.
-func (k *Kernel) recoverClosure() {
-	if r := recover(); r != nil {
-		k.fail(r)
-	}
-}
-
-// resume passes control from the calling task to nt, or back to the
-// driver when nt is nil.
-//
-//fractos:hotpath
-func (k *Kernel) resume(nt *Task) {
-	if nt != nil {
-		nt.hand <- struct{}{}
-	} else {
-		k.yield <- struct{}{}
-	}
-}
-
 // flushProcessed publishes the batched event count to the global
 // counter when a run loop exits.
 func (k *Kernel) flushProcessed() {
@@ -645,13 +551,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Live reports how many tasks exist (runnable or blocked).
 func (k *Kernel) Live() int { return len(k.tasks) }
 
-// Shutdown forcibly unwinds every remaining task goroutine. It must be
+// Shutdown forcibly unwinds every remaining task. It must be
 // called from kernel context (after Run returns). The kernel must not
 // be used afterwards.
 func (k *Kernel) Shutdown() {
-	// Stopping first makes dispatch find nothing to run, so every
-	// unwinding task returns control here rather than resuming stale
-	// queued work.
+	// The kernel never runs again: a later Run returns at once.
 	k.stopped = true
 	if len(k.tasks) == 0 {
 		return // nothing to unwind (and no id-slice/sort allocation)
@@ -669,7 +573,6 @@ func (k *Kernel) Shutdown() {
 			continue
 		}
 		t.killed = true
-		t.hand <- struct{}{}
-		<-k.yield
+		t.run()
 	}
 }

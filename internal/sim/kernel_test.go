@@ -397,12 +397,20 @@ func TestStaleWakeIgnored(t *testing.T) {
 	k.Run() // must not deadlock or panic
 }
 
+// poolLen reads the task free stack's length.
+func poolLen() int {
+	taskPool.mu.Lock()
+	defer taskPool.mu.Unlock()
+	return len(taskPool.free)
+}
+
 // TestTaskPoolRecycles pins the Spawn fast path: steady-state spawns
-// reuse pooled Task structs and parked goroutines instead of
+// reuse pooled Task structs and suspended coroutines instead of
 // allocating.
 func TestTaskPoolRecycles(t *testing.T) {
 	// Warm the pool with more tasks than the second kernel will hold
 	// live at once, so its measured spawns never hit the cold path.
+	before := poolLen()
 	k := New(1)
 	total := 0
 	for i := 0; i < 100; i++ {
@@ -415,19 +423,13 @@ func TestTaskPoolRecycles(t *testing.T) {
 	if total != 100 {
 		t.Fatalf("ran %d of 100 tasks", total)
 	}
-	k.Shutdown()
-
-	// Trampolines repool asynchronously after yielding; wait until the
-	// free stack has absorbed the finished tasks before measuring.
-	for i := 0; i < 1000; i++ {
-		taskPool.mu.Lock()
-		n := len(taskPool.free)
-		taskPool.mu.Unlock()
-		if n >= 100 {
-			break
-		}
-		runtime.Gosched()
+	// The driver repools each task as it finishes, so by the time Run
+	// returns the free stack holds all 100 again (plus whatever the
+	// spawns did not have to take from it).
+	if n, want := poolLen(), max(before, 100); n != want {
+		t.Fatalf("free stack holds %d tasks after Run, want %d", n, want)
 	}
+	k.Shutdown()
 
 	// A second kernel reusing the warmed pool must behave identically.
 	k2 := New(1)
@@ -452,11 +454,33 @@ func TestTaskPoolRecycles(t *testing.T) {
 	if !raceEnabled && allocs > 1 {
 		t.Fatalf("warm Spawn allocates %.1f times per call", allocs)
 	}
+
+	// Rounds of spawn/finish on fresh kernels over the warm pool: every
+	// finished or unwound task goes back on the free stack, so no round
+	// starts a coroutine that neither repools nor exits.
+	round := func() {
+		k := New(1)
+		never := NewChan[int](k, "never", 0)
+		for i := 0; i < 50; i++ {
+			k.Spawn("unit", func(tk *Task) { tk.Sleep(Time(i)) })
+		}
+		k.Spawn("stuck", func(tk *Task) { never.Recv(tk) }) // unwound by Shutdown
+		k.Run()
+		k.Shutdown()
+	}
+	round()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines grew from %d to %d over 10 rounds of spawn/finish", base, n)
+	}
 }
 
-// TestDirectSwitchKeepsOrder pins park's direct task-to-task switch
-// against the global scheduling order: two tasks ping-ponging over
-// channels at one instant interleave exactly FIFO.
+// TestDirectSwitchKeepsOrder pins the park/resume switches against
+// the global scheduling order: two tasks ping-ponging over channels at
+// one instant interleave exactly FIFO.
 func TestDirectSwitchKeepsOrder(t *testing.T) {
 	k := New(3)
 	ch := NewChan[int](k, "pp", 1)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -135,6 +136,38 @@ func TestKernelStressSeedSensitivity(t *testing.T) {
 		}
 		if same {
 			t.Fatal("traces identical across different seeds; workload not seed-sensitive")
+		}
+	}
+}
+
+// TestParallelKernelsDeterminism runs the stress workload on two
+// kernels at once, each driven from its own goroutine. The kernels
+// share the process-wide task pool, so a pooled coroutine built by one
+// driver (here, by the solo runs) gets resumed from another. Each
+// kernel's trace must still equal its solo run's.
+func TestParallelKernelsDeterminism(t *testing.T) {
+	seeds := [2]int64{42, 7}
+	var solo, par [2][]stressStep
+	for i, s := range seeds {
+		solo[i] = runStressWorkload(s)
+	}
+	var wg sync.WaitGroup
+	for i, s := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i] = runStressWorkload(s)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		if len(par[i]) != len(solo[i]) {
+			t.Fatalf("seed %d: parallel trace has %d steps, solo %d", seeds[i], len(par[i]), len(solo[i]))
+		}
+		for j := range solo[i] {
+			if par[i][j] != solo[i][j] {
+				t.Fatalf("seed %d: traces diverge at step %d: %+v vs solo %+v", seeds[i], j, par[i][j], solo[i][j])
+			}
 		}
 	}
 }

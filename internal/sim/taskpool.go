@@ -1,39 +1,43 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 )
 
-// Task pooling: Spawn used to allocate a Task struct, a handoff
-// channel, and a fresh goroutine (plus its trampoline closure) per
-// task — ~4 allocations and a goroutine-start for every spawn, the
-// dominant cost of task-churn workloads (kernel/spawn). Instead,
-// finished tasks park their goroutine on a process-wide free stack
-// and Spawn re-arms one: the trampoline goroutine blocks on its
-// existing hand channel between lives, so a warm Spawn is a couple of
-// field stores and a map insert.
+// Task pooling: a fresh task costs a Task struct and an iter.Pull
+// coroutine (its closures plus a goroutine start) per spawn, the
+// dominant cost of task-churn workloads (kernel/spawn). Instead, each
+// Task's coroutine runs one task lifetime per iteration (Task.lives).
+// A finished task yields at the bottom of its loop, the driver pushes
+// it on a process-wide free stack, and Spawn re-arms one: a warm Spawn
+// is a couple of field stores and a map insert, and the coroutine picks
+// the new body up when the driver next resumes it.
 //
 // The pool is deliberately a mutex-guarded stack rather than a
-// sync.Pool: each pooled Task owns a live parked goroutine, and
+// sync.Pool: each pooled Task owns a live suspended coroutine, and
 // sync.Pool dropping items under GC pressure would leak those
-// goroutines forever. Overflowing the bounded stack instead lets the
-// trampoline return, ending its goroutine.
+// goroutines forever. Overflowing the bounded stack instead makes the
+// driver stop the coroutine, ending its goroutine.
 //
 // Safety across kernels: the stack is shared by every kernel in the
 // process, and nothing stops two kernels from running at once on
 // different goroutines (two parallel tests in one binary), so pushes
-// and pops are mutex-serialized; a task is only repooled after its
-// kernel has unlinked it from the task table and cancelled any
-// pending wake, so a pooled Task is referenced by nothing but the
-// stack and its own goroutine. Which physical Task struct a Spawn
-// receives depends on how concurrent kernels interleave — that is
+// and pops are mutex-serialized, and a pooled coroutine may be resumed
+// from a goroutine other than the one that created it. A task is only
+// repooled after its kernel has unlinked it from the task table and
+// cancelled any pending wake, so a pooled Task is referenced by nothing
+// but the stack and its own coroutine. Which physical Task struct a
+// Spawn receives depends on how concurrent kernels interleave — that is
 // fine because task identity is never observable: ids are per-kernel
 // spawn-ordered, and all scheduling state (wake, done, killed) is
 // reset on re-arm.
 
 // maxPooledTasks bounds the free stack (and thus the number of idle
-// parked goroutines kept alive).
+// suspended coroutines kept alive).
 const maxPooledTasks = 1 << 15
 
 var taskPool struct {
@@ -41,8 +45,8 @@ var taskPool struct {
 	free []*Task
 }
 
-// getTask pops a pooled task (its trampoline goroutine already parked
-// on hand) or builds a fresh one.
+// getTask pops a pooled task (its coroutine suspended between lives)
+// or builds a fresh one.
 //
 //fractos:hotpath
 //fractos:pool-acquire simtask
@@ -56,14 +60,14 @@ func getTask() *Task {
 		return t
 	}
 	taskPool.mu.Unlock()
-	t := &Task{hand: make(chan struct{})} // fractos:alloc-ok cold refill; steady state recycles via putTask
-	go taskMain(t)
+	t := &Task{}                          // fractos:alloc-ok cold refill; steady state recycles via putTask
+	t.resume, t.stop = iter.Pull(t.lives) // fractos:alloc-ok cold refill: one coroutine per pooled Task
 	return t
 }
 
 // putTask pushes a finished, fully unlinked task back on the stack.
-// It reports false when the stack is full, telling the trampoline to
-// end its goroutine instead.
+// It reports false when the stack is full, telling the driver to stop
+// the task's coroutine instead.
 //
 //fractos:hotpath
 //fractos:pool-release simtask
@@ -78,43 +82,54 @@ func putTask(t *Task) bool {
 	return true
 }
 
-// taskMain is the pooled trampoline: each iteration is one task
-// lifetime. The goroutine parks on the hand channel between lives;
-// Spawn's wake event eventually resumes it with fresh k/id/name/fn
-// fields (the channel handoff is the happens-before edge making those
-// writes visible). A finished task keeps the event loop going, like a
-// parking one (Task.park): it dispatches and hands control straight to
-// the next task, or to the driver when nothing may run. The task is
-// repooled only after that handoff (finish already cancelled its wake).
-func taskMain(t *Task) {
+// lives is the body of a task's coroutine: each iteration is one task
+// lifetime. Between lives the coroutine is suspended in the yield at
+// the bottom of the loop; the driver's resume for Spawn's wake event
+// continues it with fresh k/id/name/fn fields (the coroutine switch is
+// the happens-before edge making those writes visible). yield reports
+// false once the driver stops the coroutine, which ends it.
+func (t *Task) lives(yield func(struct{}) bool) {
+	t.yield = yield
 	for {
-		<-t.hand
 		// Note: the body runs even when killed before first resume
 		// (Shutdown on a spawned-but-never-run task starts it; the
-		// body unwinds at its first park), matching the pre-pool
-		// trampoline exactly.
+		// body unwinds at its first park).
 		t.exec()
-		k := t.k
-		t.k, t.fn, t.name = nil, nil, ""
-		k.resume(k.dispatch())
-		if !putTask(t) {
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// exec runs one task body with the kernel's panic discipline.
+// run resumes t until it parks or finishes. A finished task is
+// repooled right here on the driver, or its coroutine stopped when the
+// free stack is full. A task panic ends the coroutine and comes out of
+// resume (iter.Pull carries it to the caller), leaving this task
+// unpooled.
+//
+//fractos:hotpath
+func (t *Task) run() {
+	t.resume()
+	if !t.done {
+		return
+	}
+	t.k, t.fn, t.name = nil, nil, ""
+	if !putTask(t) {
+		t.stop()
+	}
+}
+
+// exec runs one task body with the kernel's panic discipline: a kill
+// unwinds quietly; any other panic is re-raised, after finish, with the
+// task's name, which ends the coroutine and reaches Run's caller.
 func (t *Task) exec() {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSignal); !ok {
-				// Re-panicking here would crash an unrelated goroutine;
-				// surface the panic through the kernel so Run's caller
-				// sees it.
-				t.k.fail(fmt.Sprintf("task %q panicked: %v", t.name, r))
-			}
-		}
+		r := recover()
 		t.finish()
+		if _, kill := r.(killSignal); r != nil && !kill {
+			//fractos:panic-ok re-raising a task's panic; iter.Pull carries it to Run's caller
+			panic(fmt.Sprintf("task %q panicked: %v", t.name, r))
+		}
 	}()
 	t.fn(t)
 }

@@ -13,8 +13,8 @@
 //     sim.Kernel.Rand.
 //  3. Raw goroutines: a `go` statement escapes the cooperative
 //     scheduler, racing against kernel tasks. Only the kernel package
-//     itself (internal/sim) may create goroutines — that is the
-//     trampoline every Task runs on. Everything else must use
+//     itself (internal/sim) may create goroutines — that is where
+//     the coroutine every Task runs on lives. Everything else must use
 //     sim.Kernel.Spawn.
 //  4. Map iteration feeding message or scheduling order: ranging over
 //     a map and sending/spawning/completing inside the loop makes
