@@ -22,9 +22,13 @@ import (
 	"fractos/internal/wire"
 )
 
-// marshalSink keeps the allocation-gate encode results live so the
-// compiler cannot elide the calls under test.
-var marshalSink []byte
+// marshalSink and unmarshalSink keep the allocation-gate encode and
+// decode results live so the compiler cannot elide the calls under
+// test.
+var (
+	marshalSink   []byte
+	unmarshalSink wire.Message
+)
 
 // validateSink keeps the validation-gate results live so the compiler
 // cannot elide the calls under test.
@@ -103,9 +107,11 @@ func TestAllocGateKernelTaskDispatch(t *testing.T) {
 }
 
 // TestAllocGateWireMarshal pins the wire codec's allocation contract:
-// Marshal performs exactly one allocation (the exact-size buffer), and
-// the pooled GetWriter/MarshalTo/Release path performs none at steady
-// state.
+// Marshal performs exactly one allocation (the exact-size buffer), the
+// pooled GetCodec/Encode/Release path performs none at steady state,
+// Unmarshal allocates only the decoded message (its Codec comes from
+// the pool), and the encode-then-decode path fabric.Net.Send runs on
+// one pooled Codec allocates only the delivered message.
 func TestAllocGateWireMarshal(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -116,14 +122,29 @@ func TestAllocGateWireMarshal(t *testing.T) {
 	}); per > 1 {
 		t.Errorf("wire.Marshal allocates %.1f objects/op, want <= 1 (the exact-size buffer)", per)
 	}
-	// Warm the writer pool once so the gate measures steady state.
-	wire.GetWriter(wire.SizeOf(m)).Release()
+	// Warm the codec pool once so the gates measure steady state.
+	c := wire.GetCodec()
+	c.Encode(m)
+	c.Release()
 	if per := testing.AllocsPerRun(100, func() {
-		w := wire.GetWriter(wire.SizeOf(m))
-		wire.MarshalTo(w, m)
-		w.Release()
+		c := wire.GetCodec()
+		c.Encode(m)
+		c.Release()
 	}); per > 0 {
-		t.Errorf("pooled MarshalTo path allocates %.1f objects/op, want 0", per)
+		t.Errorf("pooled Encode path allocates %.1f objects/op, want 0", per)
+	}
+	frame := wire.Marshal(m)
+	if per := testing.AllocsPerRun(100, func() {
+		unmarshalSink, _ = wire.Unmarshal(frame)
+	}); per != 1 {
+		t.Errorf("wire.Unmarshal of a Completion allocates %.1f objects/op, want 1 (the message)", per)
+	}
+	if per := testing.AllocsPerRun(100, func() {
+		c := wire.GetCodec()
+		unmarshalSink, _ = c.Decode(c.Encode(m))
+		c.Release()
+	}); per != 1 {
+		t.Errorf("pooled encode-then-decode allocates %.1f objects/op, want 1 (the decoded message)", per)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fractos/internal/cap"
@@ -589,21 +590,7 @@ func (c *Controller) resolvePending(token uint64, m wire.Message) {
 // has been observed dead or rebooted, so syscalls waiting on it
 // complete with an error instead of hanging.
 func (c *Controller) abortPendingTo(peer cap.ControllerID) {
-	var tokens []uint64
-	for tok, pc := range c.pending {
-		if pc.peer == peer {
-			tokens = append(tokens, tok)
-		}
-	}
-	// Deterministic order.
-	for i := 0; i < len(tokens); i++ {
-		for j := i + 1; j < len(tokens); j++ {
-			if tokens[j] < tokens[i] {
-				tokens[i], tokens[j] = tokens[j], tokens[i]
-			}
-		}
-	}
-	for _, tok := range tokens {
+	for _, tok := range c.sortedPending(func(pc pendingCall) bool { return pc.peer == peer }) {
 		pc := c.pending[tok]
 		delete(c.pending, tok)
 		pc.cb(&wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
@@ -615,20 +602,25 @@ func (c *Controller) abortPendingTo(peer cap.ControllerID) {
 // failing Controller deterministically unwinds its own in-flight RPCs
 // instead of leaking their callbacks across the reboot.
 func (c *Controller) abortAllPending() {
-	if len(c.pending) == 0 {
-		return
-	}
-	tokens := make([]uint64, 0, len(c.pending))
-	for tok := range c.pending {
-		tokens = append(tokens, tok)
-	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
-	for _, tok := range tokens {
+	for _, tok := range c.sortedPending(func(pendingCall) bool { return true }) {
 		pc := c.pending[tok]
 		delete(c.pending, tok)
 		c.metrics.RPCAborted++
 		pc.cb(&wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
 	}
+}
+
+// sortedPending returns the tokens of the outstanding calls that match,
+// in ascending order, so aborts run in a deterministic order.
+func (c *Controller) sortedPending(match func(pendingCall) bool) []uint64 {
+	var tokens []uint64
+	for tok, pc := range c.pending {
+		if match(pc) {
+			tokens = append(tokens, tok)
+		}
+	}
+	slices.Sort(tokens)
+	return tokens
 }
 
 // ref builds a Ref for an object owned by this Controller.

@@ -442,16 +442,16 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 	if src == nil || dst == nil || src.disconnected || dst.disconnected {
 		return false
 	}
-	// Encode into a pooled frame buffer and decode eagerly. Unmarshal
-	// copies every variable-length payload, so the decoded message never
-	// aliases the frame and the buffer can return to the pool before the
-	// delivery is even scheduled. The delivery closure then captures only
-	// the decoded message — no per-send frame allocation survives.
-	w := wire.GetWriter(wire.SizeOf(m))
-	wire.MarshalTo(w, m)
-	frame := w.Bytes()
+	// Encode into a pooled Codec and decode eagerly from the same
+	// Codec. Decoding copies every variable-length payload, so the
+	// decoded message never aliases the frame and the Codec can return
+	// to the pool before the delivery is even scheduled. The delivery
+	// closure then captures only the decoded message — no per-send frame
+	// allocation survives.
+	c := wire.GetCodec()
+	frame := c.Encode(m)
 	nBytes := len(frame)
-	decoded, derr := wire.Unmarshal(frame) // fractos:alloc-ok eager decode allocates the delivered message once per send by design
+	decoded, derr := c.Decode(frame) // fractos:alloc-ok eager decode allocates the delivered message once per send by design
 	cross := src.Loc.Node != dst.Loc.Node
 
 	// Chaos pipeline (cross-node frames only; see faults.go for the
@@ -471,7 +471,7 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 			if fs.dup > 0 && fs.rng.Float64() < fs.dup && !lost && derr == nil {
 				// The duplicate is decoded independently so the two
 				// deliveries never share mutable payloads.
-				dup2, _ = wire.Unmarshal(frame) // fractos:alloc-ok chaos-only path: the duplicate gets its own decode
+				dup2, _ = c.Decode(frame) // fractos:alloc-ok chaos-only path: the duplicate gets its own decode
 			}
 			if fs.jitter > 0 {
 				extra = sim.Time(fs.rng.Int63n(int64(fs.jitter)))
@@ -481,7 +481,7 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 			}
 		}
 	}
-	w.Release()
+	c.Release()
 	now := n.k.Now()
 	done := n.transferTime(now, src.Loc, dst.Loc, nBytes)
 	n.account(m.Class(), nBytes, cross, false)

@@ -293,7 +293,7 @@ func TestByteConservationProperty(t *testing.T) {
 			if !bytes.Equal(raw.Data, payload) {
 				ok = false
 			}
-			if d.Bytes != wire.SizeOf(raw) {
+			if d.Bytes != len(wire.Marshal(raw)) {
 				ok = false
 			}
 		})
@@ -302,7 +302,7 @@ func TestByteConservationProperty(t *testing.T) {
 		})
 		k.Run()
 		st := n.Stats()
-		return ok && st.TotalBytes() == int64(wire.SizeOf(&wire.Raw{Data: payload}))
+		return ok && st.TotalBytes() == int64(len(wire.Marshal(&wire.Raw{Data: payload})))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -251,11 +251,6 @@ type Kernel struct {
 	// processed accumulates popped events; flushed into the
 	// process-wide totalEvents counter when a run loop exits.
 	processed uint64
-
-	// wall-clock pacing (see realtime.go).
-	rtFactor float64
-	rtAnchor time.Time
-	rtBase   Time
 }
 
 // New returns an empty kernel with its virtual clock at zero. The seed
@@ -488,8 +483,8 @@ func (k *Kernel) loop(deadline Time) Time {
 	}
 }
 
-// next pops events in global (at, seq) order, advancing (and pacing)
-// the clock, until one asks for something: a closure to run in kernel
+// next pops events in global (at, seq) order, advancing the clock,
+// until one asks for something: a closure to run in kernel
 // context or a task to resume. Tombstones and stale wakes of finished
 // tasks are released on the way. Both results are nil, and the queues
 // are left as they are, when nothing may run: both queues are empty,
@@ -523,7 +518,6 @@ func (k *Kernel) next() (*Task, func()) {
 		}
 		k.processed++
 		if e.at > k.now {
-			k.pace(e.at)
 			k.now = e.at
 		}
 		t, fn := e.task, e.fn

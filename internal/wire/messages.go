@@ -93,7 +93,7 @@ func init() {
 	Register(TRaw, func() Message { return new(Raw) })
 }
 
-// ---- shared argument encodings ----
+// ---- shared argument layouts ----
 
 // ImmArg writes Data into a Request's immediate-argument buffer at
 // Offset. Once written, those bytes are immutable (§3.4).
@@ -102,43 +102,27 @@ type ImmArg struct {
 	Data   []byte
 }
 
-func encodeImms(w *Writer, imms []ImmArg) {
-	w.U16(uint16(len(imms)))
-	for _, a := range imms {
-		w.U32(a.Offset)
-		w.Bytes32(a.Data)
-	}
+func layoutImm(c *Codec, a *ImmArg) {
+	c.U32(&a.Offset)
+	c.Bytes32(&a.Data)
 }
 
-func decodeImms(r *Reader) []ImmArg {
-	n := int(r.U16())
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	imms := make([]ImmArg, 0, n)
-	for i := 0; i < n; i++ {
-		imms = append(imms, ImmArg{Offset: r.U32(), Data: r.Bytes32()})
-	}
-	return imms
-}
-
-// sizeImms returns the encoded length of an immediate-arg list.
-func sizeImms(imms []ImmArg) int {
-	n := 2
-	for _, a := range imms {
-		n += 4 + 4 + len(a.Data)
-	}
-	return n
-}
-
-// immsBytes reports the payload volume carried by immediate args,
-// used to classify messages as data-bearing.
-func immsBytes(imms []ImmArg) int {
+// immsClass classifies a message by the payload volume its immediate
+// args carry: above dataThreshold bytes it counts as a Data transfer.
+func immsClass(imms []ImmArg) Class {
 	n := 0
 	for _, a := range imms {
 		n += len(a.Data)
 	}
-	return n
+	return bytesClass(n)
+}
+
+// bytesClass classifies a message carrying n payload bytes.
+func bytesClass(n int) Class {
+	if n > dataThreshold {
+		return Data
+	}
+	return Control
 }
 
 // dataThreshold is the immediate-payload size above which a message
@@ -152,24 +136,9 @@ type CapSlot struct {
 	Cid  cap.CapID
 }
 
-func encodeCapSlots(w *Writer, cs []CapSlot) {
-	w.U16(uint16(len(cs)))
-	for _, c := range cs {
-		w.U16(c.Slot)
-		w.U32(uint32(c.Cid))
-	}
-}
-
-func decodeCapSlots(r *Reader) []CapSlot {
-	n := int(r.U16())
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	cs := make([]CapSlot, 0, n)
-	for i := 0; i < n; i++ {
-		cs = append(cs, CapSlot{Slot: r.U16(), Cid: cap.CapID(r.U32())})
-	}
-	return cs
+func layoutCapSlot(c *Codec, s *CapSlot) {
+	c.U16(&s.Slot)
+	c.U32((*uint32)(&s.Cid))
 }
 
 // CapXfer is a capability in transit between Controllers: the global
@@ -186,51 +155,21 @@ type CapXfer struct {
 	Leased bool
 }
 
-func encodeRef(w *Writer, r cap.Ref) {
-	w.U32(uint32(r.Ctrl))
-	w.U64(uint64(r.Obj))
-	w.U32(uint32(r.Epoch))
+// layoutRef lays out a global reference: Ctrl u32, Obj u64, Epoch u32.
+func layoutRef(c *Codec, r *cap.Ref) {
+	c.U32((*uint32)(&r.Ctrl))
+	c.U64((*uint64)(&r.Obj))
+	c.U32((*uint32)(&r.Epoch))
 }
 
-func decodeRef(r *Reader) cap.Ref {
-	return cap.Ref{
-		Ctrl:  cap.ControllerID(r.U32()),
-		Obj:   cap.ObjectID(r.U64()),
-		Epoch: cap.Epoch(r.U32()),
-	}
-}
-
-func encodeCapXfers(w *Writer, xs []CapXfer) {
-	w.U16(uint16(len(xs)))
-	for _, x := range xs {
-		w.U16(x.Slot)
-		encodeRef(w, x.Ref)
-		w.U8(uint8(x.Kind))
-		w.U8(uint8(x.Rights))
-		w.U64(x.Size)
-		w.Bool(x.Monitored)
-		w.Bool(x.Leased)
-	}
-}
-
-func decodeCapXfers(r *Reader) []CapXfer {
-	n := int(r.U16())
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	xs := make([]CapXfer, 0, n)
-	for i := 0; i < n; i++ {
-		xs = append(xs, CapXfer{
-			Slot:      r.U16(),
-			Ref:       decodeRef(r),
-			Kind:      cap.Kind(r.U8()),
-			Rights:    cap.Rights(r.U8()),
-			Size:      r.U64(),
-			Monitored: r.Bool(),
-			Leased:    r.Bool(),
-		})
-	}
-	return xs
+func layoutCapXfer(c *Codec, x *CapXfer) {
+	c.U16(&x.Slot)
+	layoutRef(c, &x.Ref)
+	c.U8((*uint8)(&x.Kind))
+	c.U8((*uint8)(&x.Rights))
+	c.U64(&x.Size)
+	c.Bool(&x.Monitored)
+	c.Bool(&x.Leased)
 }
 
 // DeliveredCap is a capability as it appears in a request_receive
@@ -243,33 +182,12 @@ type DeliveredCap struct {
 	Size   uint64
 }
 
-func encodeDelivered(w *Writer, ds []DeliveredCap) {
-	w.U16(uint16(len(ds)))
-	for _, d := range ds {
-		w.U16(d.Slot)
-		w.U32(uint32(d.Cid))
-		w.U8(uint8(d.Kind))
-		w.U8(uint8(d.Rights))
-		w.U64(d.Size)
-	}
-}
-
-func decodeDelivered(r *Reader) []DeliveredCap {
-	n := int(r.U16())
-	if n == 0 || r.Err() != nil {
-		return nil
-	}
-	ds := make([]DeliveredCap, 0, n)
-	for i := 0; i < n; i++ {
-		ds = append(ds, DeliveredCap{
-			Slot:   r.U16(),
-			Cid:    cap.CapID(r.U32()),
-			Kind:   cap.Kind(r.U8()),
-			Rights: cap.Rights(r.U8()),
-			Size:   r.U64(),
-		})
-	}
-	return ds
+func layoutDelivered(c *Codec, d *DeliveredCap) {
+	c.U16(&d.Slot)
+	c.U32((*uint32)(&d.Cid))
+	c.U8((*uint8)(&d.Kind))
+	c.U8((*uint8)(&d.Rights))
+	c.U64(&d.Size)
 }
 
 // ---- Process → Controller (syscalls, Table 1) ----
@@ -285,15 +203,11 @@ type MemCreate struct {
 
 func (*MemCreate) WireType() Type { return TMemCreate }
 func (*MemCreate) Class() Class   { return Control }
-func (m *MemCreate) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U64(m.Base)
-	w.U64(m.Size)
-	w.U8(uint8(m.Perms))
-}
-func (m *MemCreate) Decode(r *Reader) error {
-	m.Token, m.Base, m.Size, m.Perms = r.U64(), r.U64(), r.U64(), cap.Rights(r.U8())
-	return r.Err()
+func (m *MemCreate) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U64(&m.Base)
+	c.U64(&m.Size)
+	c.U8((*uint8)(&m.Perms))
 }
 
 // MemDiminish derives a smaller/weaker view of a Memory capability
@@ -308,17 +222,12 @@ type MemDiminish struct {
 
 func (*MemDiminish) WireType() Type { return TMemDiminish }
 func (*MemDiminish) Class() Class   { return Control }
-func (m *MemDiminish) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-	w.U64(m.Offset)
-	w.U64(m.Size)
-	w.U8(uint8(m.Drop))
-}
-func (m *MemDiminish) Decode(r *Reader) error {
-	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
-	m.Offset, m.Size, m.Drop = r.U64(), r.U64(), cap.Rights(r.U8())
-	return r.Err()
+func (m *MemDiminish) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
+	c.U64(&m.Offset)
+	c.U64(&m.Size)
+	c.U8((*uint8)(&m.Drop))
 }
 
 // MemCopy copies all bytes of Memory SrcCid into DstCid (memory_copy).
@@ -330,14 +239,10 @@ type MemCopy struct {
 
 func (*MemCopy) WireType() Type { return TMemCopy }
 func (*MemCopy) Class() Class   { return Control }
-func (m *MemCopy) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.SrcCid))
-	w.U32(uint32(m.DstCid))
-}
-func (m *MemCopy) Decode(r *Reader) error {
-	m.Token, m.SrcCid, m.DstCid = r.U64(), cap.CapID(r.U32()), cap.CapID(r.U32())
-	return r.Err()
+func (m *MemCopy) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.SrcCid))
+	c.U32((*uint32)(&m.DstCid))
 }
 
 // ReqCreate creates a new Request (Parent == NilCap) provided by the
@@ -354,24 +259,13 @@ type ReqCreate struct {
 }
 
 func (*ReqCreate) WireType() Type { return TReqCreate }
-func (m *ReqCreate) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
-func (m *ReqCreate) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Parent))
-	w.U64(m.Tag)
-	encodeImms(w, m.Imms)
-	encodeCapSlots(w, m.Caps)
-}
-func (m *ReqCreate) Decode(r *Reader) error {
-	m.Token, m.Parent, m.Tag = r.U64(), cap.CapID(r.U32()), r.U64()
-	m.Imms = decodeImms(r)
-	m.Caps = decodeCapSlots(r)
-	return r.Err()
+func (m *ReqCreate) Class() Class { return immsClass(m.Imms) }
+func (m *ReqCreate) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Parent))
+	c.U64(&m.Tag)
+	list(c, &m.Imms, layoutImm)
+	list(c, &m.Caps, layoutCapSlot)
 }
 
 // ReqInvoke invokes a Request (request_invoke). Imms/Caps are
@@ -385,23 +279,12 @@ type ReqInvoke struct {
 }
 
 func (*ReqInvoke) WireType() Type { return TReqInvoke }
-func (m *ReqInvoke) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
-func (m *ReqInvoke) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-	encodeImms(w, m.Imms)
-	encodeCapSlots(w, m.Caps)
-}
-func (m *ReqInvoke) Decode(r *Reader) error {
-	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
-	m.Imms = decodeImms(r)
-	m.Caps = decodeCapSlots(r)
-	return r.Err()
+func (m *ReqInvoke) Class() Class { return immsClass(m.Imms) }
+func (m *ReqInvoke) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
+	list(c, &m.Imms, layoutImm)
+	list(c, &m.Caps, layoutCapSlot)
 }
 
 // CapRevtree creates a new revocation subtree entry for a capability
@@ -413,13 +296,9 @@ type CapRevtree struct {
 
 func (*CapRevtree) WireType() Type { return TCapRevtree }
 func (*CapRevtree) Class() Class   { return Control }
-func (m *CapRevtree) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-}
-func (m *CapRevtree) Decode(r *Reader) error {
-	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
-	return r.Err()
+func (m *CapRevtree) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
 }
 
 // CapRevoke revokes a capability: the referenced object and all its
@@ -432,13 +311,9 @@ type CapRevoke struct {
 
 func (*CapRevoke) WireType() Type { return TCapRevoke }
 func (*CapRevoke) Class() Class   { return Control }
-func (m *CapRevoke) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-}
-func (m *CapRevoke) Decode(r *Reader) error {
-	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
-	return r.Err()
+func (m *CapRevoke) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
 }
 
 // CapDrop discards the calling Process's capability-space entry
@@ -450,13 +325,9 @@ type CapDrop struct {
 
 func (*CapDrop) WireType() Type { return TCapDrop }
 func (*CapDrop) Class() Class   { return Control }
-func (m *CapDrop) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-}
-func (m *CapDrop) Decode(r *Reader) error {
-	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
-	return r.Err()
+func (m *CapDrop) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
 }
 
 // MonitorDelegate registers a callback that fires when all immediate
@@ -469,14 +340,10 @@ type MonitorDelegate struct {
 
 func (*MonitorDelegate) WireType() Type { return TMonitorDelegate }
 func (*MonitorDelegate) Class() Class   { return Control }
-func (m *MonitorDelegate) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-	w.U64(m.Callback)
-}
-func (m *MonitorDelegate) Decode(r *Reader) error {
-	m.Token, m.Cid, m.Callback = r.U64(), cap.CapID(r.U32()), r.U64()
-	return r.Err()
+func (m *MonitorDelegate) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
+	c.U64(&m.Callback)
 }
 
 // MonitorReceive registers a callback that fires when Cid's object is
@@ -489,14 +356,10 @@ type MonitorReceive struct {
 
 func (*MonitorReceive) WireType() Type { return TMonitorReceive }
 func (*MonitorReceive) Class() Class   { return Control }
-func (m *MonitorReceive) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Cid))
-	w.U64(m.Callback)
-}
-func (m *MonitorReceive) Decode(r *Reader) error {
-	m.Token, m.Cid, m.Callback = r.U64(), cap.CapID(r.U32()), r.U64()
-	return r.Err()
+func (m *MonitorReceive) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Cid))
+	c.U64(&m.Callback)
 }
 
 // DeliverDone acknowledges processing of a delivery, releasing one
@@ -505,13 +368,9 @@ type DeliverDone struct {
 	Seq uint64
 }
 
-func (*DeliverDone) WireType() Type     { return TDeliverDone }
-func (*DeliverDone) Class() Class       { return Control }
-func (m *DeliverDone) Encode(w *Writer) { w.U64(m.Seq) }
-func (m *DeliverDone) Decode(r *Reader) error {
-	m.Seq = r.U64()
-	return r.Err()
-}
+func (*DeliverDone) WireType() Type    { return TDeliverDone }
+func (*DeliverDone) Class() Class      { return Control }
+func (m *DeliverDone) Layout(c *Codec) { c.U64(&m.Seq) }
 
 // Null is the no-op syscall used to measure the bare cost of one
 // FractOS operation (Table 3).
@@ -519,21 +378,16 @@ type Null struct {
 	Token uint64
 }
 
-func (*Null) WireType() Type     { return TNull }
-func (*Null) Class() Class       { return Control }
-func (m *Null) Encode(w *Writer) { w.U64(m.Token) }
-func (m *Null) Decode(r *Reader) error {
-	m.Token = r.U64()
-	return r.Err()
-}
+func (*Null) WireType() Type    { return TNull }
+func (*Null) Class() Class      { return Control }
+func (m *Null) Layout(c *Codec) { c.U64(&m.Token) }
 
 // ProcBye announces a graceful Process exit.
 type ProcBye struct{}
 
-func (*ProcBye) WireType() Type       { return TProcBye }
-func (*ProcBye) Class() Class         { return Control }
-func (*ProcBye) Encode(*Writer)       {}
-func (*ProcBye) Decode(*Reader) error { return nil }
+func (*ProcBye) WireType() Type { return TProcBye }
+func (*ProcBye) Class() Class   { return Control }
+func (*ProcBye) Layout(*Codec)  {}
 
 // ---- Controller → Process ----
 
@@ -549,16 +403,11 @@ type Completion struct {
 
 func (*Completion) WireType() Type { return TCompletion }
 func (*Completion) Class() Class   { return Control }
-func (m *Completion) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U8(uint8(m.Status))
-	w.U32(uint32(m.Cid))
-	w.U64(m.Aux)
-}
-func (m *Completion) Decode(r *Reader) error {
-	m.Token, m.Status = r.U64(), Status(r.U8())
-	m.Cid, m.Aux = cap.CapID(r.U32()), r.U64()
-	return r.Err()
+func (m *Completion) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U8((*uint8)(&m.Status))
+	c.U32((*uint32)(&m.Cid))
+	c.U64(&m.Aux)
 }
 
 // Deliver is a request_receive descriptor: an invocation arriving at a
@@ -573,23 +422,12 @@ type Deliver struct {
 }
 
 func (*Deliver) WireType() Type { return TDeliver }
-func (m *Deliver) Class() Class {
-	if len(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
-func (m *Deliver) Encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U64(m.Tag)
-	w.Bytes32(m.Imms)
-	encodeDelivered(w, m.Caps)
-}
-func (m *Deliver) Decode(r *Reader) error {
-	m.Seq, m.Tag = r.U64(), r.U64()
-	m.Imms = r.Bytes32()
-	m.Caps = decodeDelivered(r)
-	return r.Err()
+func (m *Deliver) Class() Class { return bytesClass(len(m.Imms)) }
+func (m *Deliver) Layout(c *Codec) {
+	c.U64(&m.Seq)
+	c.U64(&m.Tag)
+	c.Bytes32(&m.Imms)
+	list(c, &m.Caps, layoutDelivered)
 }
 
 // MonitorCB delivers a monitor callback to the Process that registered
@@ -607,13 +445,9 @@ const (
 
 func (*MonitorCB) WireType() Type { return TMonitorCB }
 func (*MonitorCB) Class() Class   { return Control }
-func (m *MonitorCB) Encode(w *Writer) {
-	w.U64(m.Callback)
-	w.U8(m.Kind)
-}
-func (m *MonitorCB) Decode(r *Reader) error {
-	m.Callback, m.Kind = r.U64(), r.U8()
-	return r.Err()
+func (m *MonitorCB) Layout(c *Codec) {
+	c.U64(&m.Callback)
+	c.U8(&m.Kind)
 }
 
 // ---- Controller ↔ Controller ----
@@ -630,19 +464,13 @@ type CtrlDeriveMem struct {
 
 func (*CtrlDeriveMem) WireType() Type { return TCtrlDeriveMem }
 func (*CtrlDeriveMem) Class() Class   { return Control }
-func (m *CtrlDeriveMem) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.From)
-	w.U64(m.Offset)
-	w.U64(m.Size)
-	w.U8(uint8(m.Drop))
-}
-func (m *CtrlDeriveMem) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.From = decodeRef(r)
-	m.Offset, m.Size, m.Drop = r.U64(), r.U64(), cap.Rights(r.U8())
-	return r.Err()
+func (m *CtrlDeriveMem) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.From)
+	c.U64(&m.Offset)
+	c.U64(&m.Size)
+	c.U8((*uint8)(&m.Drop))
 }
 
 // CtrlDeriveReq asks the owner to derive a refined Request object.
@@ -655,25 +483,13 @@ type CtrlDeriveReq struct {
 }
 
 func (*CtrlDeriveReq) WireType() Type { return TCtrlDeriveReq }
-func (m *CtrlDeriveReq) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
-func (m *CtrlDeriveReq) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.From)
-	encodeImms(w, m.Imms)
-	encodeCapXfers(w, m.Caps)
-}
-func (m *CtrlDeriveReq) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.From = decodeRef(r)
-	m.Imms = decodeImms(r)
-	m.Caps = decodeCapXfers(r)
-	return r.Err()
+func (m *CtrlDeriveReq) Class() Class { return immsClass(m.Imms) }
+func (m *CtrlDeriveReq) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.From)
+	list(c, &m.Imms, layoutImm)
+	list(c, &m.Caps, layoutCapXfer)
 }
 
 // CtrlRevtree asks the owner to create a revocation-subtree child.
@@ -685,15 +501,10 @@ type CtrlRevtree struct {
 
 func (*CtrlRevtree) WireType() Type { return TCtrlRevtree }
 func (*CtrlRevtree) Class() Class   { return Control }
-func (m *CtrlRevtree) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.From)
-}
-func (m *CtrlRevtree) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.From = decodeRef(r)
-	return r.Err()
+func (m *CtrlRevtree) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.From)
 }
 
 // CtrlRevoke asks the owner to invalidate an object (and subtree).
@@ -705,15 +516,10 @@ type CtrlRevoke struct {
 
 func (*CtrlRevoke) WireType() Type { return TCtrlRevoke }
 func (*CtrlRevoke) Class() Class   { return Control }
-func (m *CtrlRevoke) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.From)
-}
-func (m *CtrlRevoke) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.From = decodeRef(r)
-	return r.Err()
+func (m *CtrlRevoke) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.From)
 }
 
 // CtrlValidate asks the owner whether Ref is live and conveys Need;
@@ -727,17 +533,11 @@ type CtrlValidate struct {
 
 func (*CtrlValidate) WireType() Type { return TCtrlValidate }
 func (*CtrlValidate) Class() Class   { return Control }
-func (m *CtrlValidate) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.Ref)
-	w.U8(uint8(m.Need))
-}
-func (m *CtrlValidate) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.Ref = decodeRef(r)
-	m.Need = cap.Rights(r.U8())
-	return r.Err()
+func (m *CtrlValidate) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.Ref)
+	c.U8((*uint8)(&m.Need))
 }
 
 // CtrlValInfo answers a CtrlValidate: where the Memory object's bytes
@@ -753,19 +553,13 @@ type CtrlValInfo struct {
 
 func (*CtrlValInfo) WireType() Type { return TCtrlValInfo }
 func (*CtrlValInfo) Class() Class   { return Control }
-func (m *CtrlValInfo) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U8(uint8(m.Status))
-	w.U32(m.Endpoint)
-	w.U64(m.Base)
-	w.U64(m.Size)
-	w.U8(uint8(m.Rights))
-}
-func (m *CtrlValInfo) Decode(r *Reader) error {
-	m.Token, m.Status = r.U64(), Status(r.U8())
-	m.Endpoint, m.Base, m.Size = r.U32(), r.U64(), r.U64()
-	m.Rights = cap.Rights(r.U8())
-	return r.Err()
+func (m *CtrlValInfo) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U8((*uint8)(&m.Status))
+	c.U32(&m.Endpoint)
+	c.U64(&m.Base)
+	c.U64(&m.Size)
+	c.U8((*uint8)(&m.Rights))
 }
 
 // CtrlInvoke carries a request invocation to the owner of the Request
@@ -779,25 +573,13 @@ type CtrlInvoke struct {
 }
 
 func (*CtrlInvoke) WireType() Type { return TCtrlInvoke }
-func (m *CtrlInvoke) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
-func (m *CtrlInvoke) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.Ref)
-	encodeImms(w, m.Imms)
-	encodeCapXfers(w, m.Caps)
-}
-func (m *CtrlInvoke) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.Ref = decodeRef(r)
-	m.Imms = decodeImms(r)
-	m.Caps = decodeCapXfers(r)
-	return r.Err()
+func (m *CtrlInvoke) Class() Class { return immsClass(m.Imms) }
+func (m *CtrlInvoke) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.Ref)
+	list(c, &m.Imms, layoutImm)
+	list(c, &m.Caps, layoutCapXfer)
 }
 
 // CtrlAck answers derive/revtree/revoke/invoke requests. Obj/Epoch
@@ -814,19 +596,13 @@ type CtrlAck struct {
 
 func (*CtrlAck) WireType() Type { return TCtrlAck }
 func (*CtrlAck) Class() Class   { return Control }
-func (m *CtrlAck) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U8(uint8(m.Status))
-	w.U64(uint64(m.Obj))
-	w.U32(uint32(m.Epoch))
-	w.U64(m.Size)
-	w.U8(uint8(m.Rights))
-}
-func (m *CtrlAck) Decode(r *Reader) error {
-	m.Token, m.Status = r.U64(), Status(r.U8())
-	m.Obj, m.Epoch = cap.ObjectID(r.U64()), cap.Epoch(r.U32())
-	m.Size, m.Rights = r.U64(), cap.Rights(r.U8())
-	return r.Err()
+func (m *CtrlAck) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U8((*uint8)(&m.Status))
+	c.U64((*uint64)(&m.Obj))
+	c.U32((*uint32)(&m.Epoch))
+	c.U64(&m.Size)
+	c.U8((*uint8)(&m.Rights))
 }
 
 // CtrlCleanup is the asynchronous revocation-cleanup broadcast: every
@@ -841,20 +617,9 @@ type CtrlCleanup struct {
 
 func (*CtrlCleanup) WireType() Type { return TCtrlCleanup }
 func (*CtrlCleanup) Class() Class   { return Control }
-func (m *CtrlCleanup) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U16(uint16(len(m.Refs)))
-	for _, ref := range m.Refs {
-		encodeRef(w, ref)
-	}
-}
-func (m *CtrlCleanup) Decode(r *Reader) error {
-	m.Token = r.U64()
-	n := int(r.U16())
-	for i := 0; i < n; i++ {
-		m.Refs = append(m.Refs, decodeRef(r))
-	}
-	return r.Err()
+func (m *CtrlCleanup) Layout(c *Codec) {
+	c.U64(&m.Token)
+	list(c, &m.Refs, layoutRef)
 }
 
 // CtrlDelegNote tells the owner that a monitored capability was
@@ -868,17 +633,11 @@ type CtrlDelegNote struct {
 
 func (*CtrlDelegNote) WireType() Type { return TCtrlDelegNote }
 func (*CtrlDelegNote) Class() Class   { return Control }
-func (m *CtrlDelegNote) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.Ref)
-	w.U64(uint64(m.Holder))
-}
-func (m *CtrlDelegNote) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.Ref = decodeRef(r)
-	m.Holder = cap.ProcID(r.U64())
-	return r.Err()
+func (m *CtrlDelegNote) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.Ref)
+	c.U64((*uint64)(&m.Holder))
 }
 
 // CtrlDelegNoteAck returns the delegatee child object the holder's
@@ -891,15 +650,10 @@ type CtrlDelegNoteAck struct {
 
 func (*CtrlDelegNoteAck) WireType() Type { return TCtrlDelegNoteAck }
 func (*CtrlDelegNoteAck) Class() Class   { return Control }
-func (m *CtrlDelegNoteAck) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U8(uint8(m.Status))
-	encodeRef(w, m.Child)
-}
-func (m *CtrlDelegNoteAck) Decode(r *Reader) error {
-	m.Token, m.Status = r.U64(), Status(r.U8())
-	m.Child = decodeRef(r)
-	return r.Err()
+func (m *CtrlDelegNoteAck) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U8((*uint8)(&m.Status))
+	layoutRef(c, &m.Child)
 }
 
 // CtrlWatch registers a monitor_receive watcher at the owner.
@@ -914,21 +668,13 @@ type CtrlWatch struct {
 
 func (*CtrlWatch) WireType() Type { return TCtrlWatch }
 func (*CtrlWatch) Class() Class   { return Control }
-func (m *CtrlWatch) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.Ref)
-	w.U64(uint64(m.WatcherProc))
-	w.U32(uint32(m.WatcherCtrl))
-	w.U64(m.Callback)
-}
-func (m *CtrlWatch) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.Ref = decodeRef(r)
-	m.WatcherProc = cap.ProcID(r.U64())
-	m.WatcherCtrl = cap.ControllerID(r.U32())
-	m.Callback = r.U64()
-	return r.Err()
+func (m *CtrlWatch) Layout(c *Codec) {
+	c.U64(&m.Token)
+	c.U32((*uint32)(&m.Src))
+	layoutRef(c, &m.Ref)
+	c.U64((*uint64)(&m.WatcherProc))
+	c.U32((*uint32)(&m.WatcherCtrl))
+	c.U64(&m.Callback)
 }
 
 // CtrlNotify forwards a monitor callback to the Controller managing
@@ -941,15 +687,10 @@ type CtrlNotify struct {
 
 func (*CtrlNotify) WireType() Type { return TCtrlNotify }
 func (*CtrlNotify) Class() Class   { return Control }
-func (m *CtrlNotify) Encode(w *Writer) {
-	w.U64(uint64(m.Proc))
-	w.U64(m.Callback)
-	w.U8(m.Kind)
-}
-func (m *CtrlNotify) Decode(r *Reader) error {
-	m.Proc = cap.ProcID(r.U64())
-	m.Callback, m.Kind = r.U64(), r.U8()
-	return r.Err()
+func (m *CtrlNotify) Layout(c *Codec) {
+	c.U64((*uint64)(&m.Proc))
+	c.U64(&m.Callback)
+	c.U8(&m.Kind)
 }
 
 // CtrlEpoch announces a Controller's current epoch (rebroadcast by the
@@ -961,13 +702,9 @@ type CtrlEpoch struct {
 
 func (*CtrlEpoch) WireType() Type { return TCtrlEpoch }
 func (*CtrlEpoch) Class() Class   { return Control }
-func (m *CtrlEpoch) Encode(w *Writer) {
-	w.U32(uint32(m.Ctrl))
-	w.U32(uint32(m.Epoch))
-}
-func (m *CtrlEpoch) Decode(r *Reader) error {
-	m.Ctrl, m.Epoch = cap.ControllerID(r.U32()), cap.Epoch(r.U32())
-	return r.Err()
+func (m *CtrlEpoch) Layout(c *Codec) {
+	c.U32((*uint32)(&m.Ctrl))
+	c.U32((*uint32)(&m.Epoch))
 }
 
 // ---- node monitoring (4xx) ----
@@ -979,15 +716,9 @@ type WatchPing struct {
 	Seq uint64
 }
 
-func (*WatchPing) WireType() Type { return TWatchPing }
-func (*WatchPing) Class() Class   { return Control }
-func (m *WatchPing) Encode(w *Writer) {
-	w.U64(m.Seq)
-}
-func (m *WatchPing) Decode(r *Reader) error {
-	m.Seq = r.U64()
-	return r.Err()
-}
+func (*WatchPing) WireType() Type    { return TWatchPing }
+func (*WatchPing) Class() Class      { return Control }
+func (m *WatchPing) Layout(c *Codec) { c.U64(&m.Seq) }
 
 // WatchPong answers a WatchPing with the Controller's identity and
 // current epoch, so the monitor can piggyback epoch discovery on
@@ -1000,15 +731,10 @@ type WatchPong struct {
 
 func (*WatchPong) WireType() Type { return TWatchPong }
 func (*WatchPong) Class() Class   { return Control }
-func (m *WatchPong) Encode(w *Writer) {
-	w.U64(m.Seq)
-	w.U32(uint32(m.Ctrl))
-	w.U32(uint32(m.Epoch))
-}
-func (m *WatchPong) Decode(r *Reader) error {
-	m.Seq = r.U64()
-	m.Ctrl, m.Epoch = cap.ControllerID(r.U32()), cap.Epoch(r.U32())
-	return r.Err()
+func (m *WatchPong) Layout(c *Codec) {
+	c.U64(&m.Seq)
+	c.U32((*uint32)(&m.Ctrl))
+	c.U32((*uint32)(&m.Epoch))
 }
 
 // ---- generic ----
@@ -1030,76 +756,9 @@ func (m *Raw) Class() Class {
 	}
 	return Control
 }
-func (m *Raw) Encode(w *Writer) {
-	w.U32(m.Kind)
-	w.U64(m.Token)
-	w.Bool(m.IsData)
-	w.Bytes32(m.Data)
+func (m *Raw) Layout(c *Codec) {
+	c.U32(&m.Kind)
+	c.U64(&m.Token)
+	c.Bool(&m.IsData)
+	c.Bytes32(&m.Data)
 }
-func (m *Raw) Decode(r *Reader) error {
-	m.Kind, m.Token = r.U32(), r.U64()
-	m.IsData = r.Bool()
-	m.Data = r.Bytes32()
-	return r.Err()
-}
-
-// ---- encoded sizes ----
-//
-// EncodedSize returns the exact number of bytes Encode appends
-// (excluding the 2-byte type header). Marshal and the fabric use these
-// to pre-size buffers, and SizeOf to charge link bandwidth, without
-// performing a throwaway encode. The wire property test
-// (TestEncodedSizeMatchesEncode) checks every one of these against the
-// real encoder.
-
-// refSize is the encoded length of a cap.Ref (Ctrl u32, Obj u64,
-// Epoch u32).
-const refSize = 4 + 8 + 4
-
-// sizeCapSlots returns the encoded length of a capability-slot list.
-func sizeCapSlots(cs []CapSlot) int { return 2 + 6*len(cs) }
-
-// sizeCapXfers returns the encoded length of a capability-transfer
-// list (slot u16 + ref + kind u8 + rights u8 + size u64 + 2 bools).
-func sizeCapXfers(xs []CapXfer) int { return 2 + (2+refSize+1+1+8+1+1)*len(xs) }
-
-// sizeDelivered returns the encoded length of a delivered-cap list.
-func sizeDelivered(ds []DeliveredCap) int { return 2 + (2+4+1+1+8)*len(ds) }
-
-func (m *MemCreate) EncodedSize() int       { return 8 + 8 + 8 + 1 }
-func (m *MemDiminish) EncodedSize() int     { return 8 + 4 + 8 + 8 + 1 }
-func (m *MemCopy) EncodedSize() int         { return 8 + 4 + 4 }
-func (m *ReqCreate) EncodedSize() int       { return 8 + 4 + 8 + sizeImms(m.Imms) + sizeCapSlots(m.Caps) }
-func (m *ReqInvoke) EncodedSize() int       { return 8 + 4 + sizeImms(m.Imms) + sizeCapSlots(m.Caps) }
-func (m *CapRevtree) EncodedSize() int      { return 8 + 4 }
-func (m *CapRevoke) EncodedSize() int       { return 8 + 4 }
-func (m *CapDrop) EncodedSize() int         { return 8 + 4 }
-func (m *MonitorDelegate) EncodedSize() int { return 8 + 4 + 8 }
-func (m *MonitorReceive) EncodedSize() int  { return 8 + 4 + 8 }
-func (m *DeliverDone) EncodedSize() int     { return 8 }
-func (m *Null) EncodedSize() int            { return 8 }
-func (*ProcBye) EncodedSize() int           { return 0 }
-func (m *Completion) EncodedSize() int      { return 8 + 1 + 4 + 8 }
-func (m *Deliver) EncodedSize() int         { return 8 + 8 + 4 + len(m.Imms) + sizeDelivered(m.Caps) }
-func (m *MonitorCB) EncodedSize() int       { return 8 + 1 }
-func (m *CtrlDeriveMem) EncodedSize() int   { return 8 + 4 + refSize + 8 + 8 + 1 }
-func (m *CtrlDeriveReq) EncodedSize() int {
-	return 8 + 4 + refSize + sizeImms(m.Imms) + sizeCapXfers(m.Caps)
-}
-func (m *CtrlRevtree) EncodedSize() int  { return 8 + 4 + refSize }
-func (m *CtrlRevoke) EncodedSize() int   { return 8 + 4 + refSize }
-func (m *CtrlValidate) EncodedSize() int { return 8 + 4 + refSize + 1 }
-func (m *CtrlValInfo) EncodedSize() int  { return 8 + 1 + 4 + 8 + 8 + 1 }
-func (m *CtrlInvoke) EncodedSize() int {
-	return 8 + 4 + refSize + sizeImms(m.Imms) + sizeCapXfers(m.Caps)
-}
-func (m *CtrlAck) EncodedSize() int          { return 8 + 1 + 8 + 4 + 8 + 1 }
-func (m *CtrlCleanup) EncodedSize() int      { return 8 + 2 + refSize*len(m.Refs) }
-func (m *CtrlDelegNote) EncodedSize() int    { return 8 + 4 + refSize + 8 }
-func (m *CtrlDelegNoteAck) EncodedSize() int { return 8 + 1 + refSize }
-func (m *CtrlWatch) EncodedSize() int        { return 8 + 4 + refSize + 8 + 4 + 8 }
-func (m *CtrlNotify) EncodedSize() int       { return 8 + 8 + 1 }
-func (m *CtrlEpoch) EncodedSize() int        { return 4 + 4 }
-func (m *WatchPing) EncodedSize() int        { return 8 }
-func (m *WatchPong) EncodedSize() int        { return 8 + 4 + 4 }
-func (m *Raw) EncodedSize() int              { return 4 + 8 + 1 + 4 + len(m.Data) }

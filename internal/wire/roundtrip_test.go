@@ -3,78 +3,68 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"fractos/internal/cap"
 )
 
-// TestEncodedSizeMatchesEncode pins the contract the zero-alloc paths
-// rely on: EncodedSize must equal the exact number of body bytes
-// Encode produces, for every registered message type. Marshal,
-// AppendMarshal, MarshalTo, and the fabric's frame pre-sizing all
-// allocate from this number, so a drift would silently reintroduce
-// buffer growth (or worse, under-report traffic in SizeOf).
-func TestEncodedSizeMatchesEncode(t *testing.T) {
-	for _, m := range sampleMessages() {
-		var w Writer
-		m.Encode(&w)
-		if got, want := m.EncodedSize(), w.Len(); got != want {
-			t.Errorf("%T: EncodedSize()=%d, Encode produced %d bytes", m, got, want)
-		}
-		if got, want := SizeOf(m), 2+w.Len(); got != want {
-			t.Errorf("%T: SizeOf()=%d, framed length %d", m, got, want)
-		}
-	}
-}
-
 // TestReencodeByteEquality is the round-trip property under pooled
-// writers: encode → decode → re-encode must be byte-identical, with
-// every encode going through a Writer obtained from (and released back
+// codecs: encode → decode → re-encode must be byte-identical, with
+// every encode going through a Codec obtained from (and released back
 // to) the pool. Running all messages twice interleaves pool reuse, so
-// a stale-buffer bug — a pooled Writer leaking bytes from its previous
+// a stale-buffer bug — a pooled Codec leaking bytes from its previous
 // life — would show up as a mismatch.
 func TestReencodeByteEquality(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, m := range sampleMessages() {
-			w1 := GetWriter(SizeOf(m))
-			MarshalTo(w1, m)
-			frame := append([]byte(nil), w1.Bytes()...)
-			w1.Release()
+			c1 := GetCodec()
+			frame := append([]byte(nil), c1.Encode(m)...)
+			c1.Release()
 
 			decoded, err := Unmarshal(frame)
 			if err != nil {
 				t.Fatalf("round %d %T: unmarshal: %v", round, m, err)
 			}
-			w2 := GetWriter(SizeOf(decoded))
-			MarshalTo(w2, decoded)
-			if !bytes.Equal(frame, w2.Bytes()) {
+			c2 := GetCodec()
+			again := c2.Encode(decoded)
+			if !bytes.Equal(frame, again) {
 				t.Errorf("round %d %T: re-encode mismatch\n in: %x\nout: %x",
-					round, m, frame, w2.Bytes())
+					round, m, frame, again)
 			}
-			w2.Release()
+			c2.Release()
 		}
 	}
 }
 
-// TestAppendMarshalMatchesMarshal checks the hot-path encoder against
-// the reference: appending into a reused buffer must produce the same
-// bytes as a fresh Marshal, and reuse must not leak previous contents.
-func TestAppendMarshalMatchesMarshal(t *testing.T) {
-	var buf []byte
+// TestPooledEncodeMatchesMarshal checks the fabric's encode-then-decode
+// path against the reference: one pooled Codec reused across every
+// message type must encode the same bytes as a fresh Marshal (reuse
+// must not leak previous contents), and decoding its own frame must
+// give back the original message.
+func TestPooledEncodeMatchesMarshal(t *testing.T) {
+	c := GetCodec()
+	defer c.Release()
 	for _, m := range sampleMessages() {
 		want := Marshal(m)
-		buf = AppendMarshal(buf[:0], m)
-		if !bytes.Equal(want, buf) {
-			t.Errorf("%T: AppendMarshal != Marshal\nwant %x\n got %x", m, want, buf)
+		frame := c.Encode(m)
+		if !bytes.Equal(want, frame) {
+			t.Errorf("%T: pooled Encode != Marshal\nwant %x\n got %x", m, want, frame)
+		}
+		got, err := c.Decode(frame)
+		if err != nil {
+			t.Fatalf("%T: decode own frame: %v", m, err)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Errorf("%T: decode of own frame mismatch:\n in: %+v\nout: %+v", m, m, got)
 		}
 	}
 }
 
 // TestInvokeRoundTripRandomized hammers the highest-volume message
 // (request_invoke) with random payload shapes: arbitrary immediate
-// arguments and capability slots must round-trip byte-identically and
-// honor EncodedSize exactly.
+// arguments and capability slots must round-trip byte-identically.
 func TestInvokeRoundTripRandomized(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,14 +78,13 @@ func TestInvokeRoundTripRandomized(t *testing.T) {
 			m.Caps = append(m.Caps, CapSlot{Slot: uint16(rng.Intn(8)), Cid: cap.CapID(rng.Uint32())})
 		}
 
-		w := GetWriter(SizeOf(m))
-		MarshalTo(w, m)
-		if w.Len() != SizeOf(m) {
-			t.Logf("seed %d: SizeOf=%d, encoded %d", seed, SizeOf(m), w.Len())
+		c := GetCodec()
+		frame := append([]byte(nil), c.Encode(m)...)
+		c.Release()
+		if want := 2 + 8 + 4 + 2 + 2 + 6*len(m.Caps); len(frame) != want+8*len(m.Imms)+immBytes(m.Imms) {
+			t.Logf("seed %d: encoded %d bytes", seed, len(frame))
 			return false
 		}
-		frame := append([]byte(nil), w.Bytes()...)
-		w.Release()
 
 		decoded, err := Unmarshal(frame)
 		if err != nil {
@@ -112,6 +101,14 @@ func TestInvokeRoundTripRandomized(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func immBytes(imms []ImmArg) int {
+	n := 0
+	for _, a := range imms {
+		n += len(a.Data)
+	}
+	return n
 }
 
 // TestDecodedMessageDoesNotAliasFrame verifies the ownership rule the

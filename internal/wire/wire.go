@@ -8,6 +8,10 @@
 // experiments count. This keeps the reproduction honest: the paper's
 // network-message and byte reductions fall out of actual serialized
 // traffic, not hand-written constants.
+//
+// Each message describes its body once, in a Layout method that lists
+// its fields in wire order through pointers. A Codec runs that method
+// in either direction, so encoder and decoder cannot drift apart.
 package wire
 
 import (
@@ -25,224 +29,204 @@ var ErrShort = errors.New("wire: short buffer")
 // ErrUnknownType is returned when unmarshalling an unregistered type.
 var ErrUnknownType = errors.New("wire: unknown message type")
 
-// Writer appends primitive values to a byte buffer.
-type Writer struct {
-	buf []byte
+// Codec runs a message's Layout in one of two directions. Encoding
+// appends each field, little-endian, to buf. Decoding reads each field
+// from buf at off and stores it through the field's pointer. Decode
+// errors are sticky: after the first short read every further read
+// leaves its field untouched and the frame fails with ErrShort.
+type Codec struct {
+	buf      []byte
+	off      int
+	err      error
+	decoding bool
 }
 
-// writerPool recycles Writer buffers across messages. The API is
-// deterministic-safe: a pooled Writer is truncated before reuse and
-// its contents are fully (re)written by the caller before anyone reads
-// them, so encoded bytes never depend on which buffer the pool hands
-// out. Only buffer identity varies — and nothing in the simulation
-// observes identity.
-var writerPool = sync.Pool{New: func() interface{} { return new(Writer) }}
+// codecPool recycles Codecs and their encode buffers. Encoded bytes
+// never depend on which Codec the pool hands out: Encode truncates the
+// buffer and rewrites it in full before anyone reads it. Only buffer
+// identity varies, and nothing in the simulation observes identity.
+var codecPool = sync.Pool{New: func() interface{} { return new(Codec) }}
 
-// maxPooledWriter bounds the capacity retained by the pool so a rare
+// maxPooledBuf bounds the capacity retained by the pool so a rare
 // giant frame does not pin memory forever.
-const maxPooledWriter = 1 << 20
+const maxPooledBuf = 1 << 20
 
-// GetWriter returns a pooled Writer, reset and pre-grown to sizeHint
-// bytes of capacity. Callers that are done with the encoded bytes
-// should call Release; keeping the buffer is also safe (it simply
-// never returns to the pool), but then poolcheck requires a
-// fractos:pool-ok waiver documenting who owns it.
+// GetCodec returns a pooled Codec. The caller must Release it when
+// done with every frame it encoded.
 //
 //fractos:hotpath
-//fractos:pool-acquire wirebuf
-func GetWriter(sizeHint int) *Writer {
-	w := writerPool.Get().(*Writer)
-	w.buf = w.buf[:0]
-	w.Grow(sizeHint)
-	return w
-}
+//fractos:pool-acquire wirecodec
+func GetCodec() *Codec { return codecPool.Get().(*Codec) }
 
-// Release returns the Writer (and its buffer) to the pool. The caller
-// must not retain w or any slice of w.Bytes() afterwards.
+// Release returns the Codec (and its buffer) to the pool. The caller
+// must not retain c or any frame Encode returned afterwards.
 //
 //fractos:hotpath
-//fractos:pool-release wirebuf
-func (w *Writer) Release() {
-	if cap(w.buf) > maxPooledWriter {
-		w.buf = nil
+//fractos:pool-release wirecodec
+func (c *Codec) Release() {
+	if cap(c.buf) > maxPooledBuf {
+		c.buf = nil
 	}
-	w.buf = w.buf[:0]
-	writerPool.Put(w)
+	codecPool.Put(c)
 }
 
-// Reset truncates the Writer for reuse, keeping its capacity.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
-
-// Grow ensures capacity for at least n more bytes.
+// Encode encodes m with its 2-byte type header into c's buffer and
+// returns the frame. The frame is borrowed from c: it stays valid
+// until c encodes again or is released. Once the pooled buffer has
+// grown to the frame's size, encoding allocates nothing.
 //
 //fractos:hotpath
-func (w *Writer) Grow(n int) {
-	if n <= cap(w.buf)-len(w.buf) {
-		return
+func (c *Codec) Encode(m Message) []byte {
+	c.buf, c.decoding = c.buf[:0], false
+	t := uint16(m.WireType())
+	c.U16(&t)
+	m.Layout(c)
+	return c.buf
+}
+
+// Decode decodes the framed message in b, which may be the frame c
+// itself just encoded. Every variable-length payload is copied, so the
+// returned message never aliases b and b may be reused immediately.
+// The allocations are the message struct, its lists and those payload
+// copies.
+func (c *Codec) Decode(b []byte) (Message, error) {
+	own := c.buf
+	c.buf, c.off, c.err, c.decoding = b, 0, nil, true
+	m, err := c.decodeFrame()
+	c.buf, c.decoding = own, false
+	return m, err
+}
+
+func (c *Codec) decodeFrame() (Message, error) {
+	var t uint16
+	c.U16(&t)
+	if c.err != nil {
+		return nil, c.err
 	}
-	nb := make([]byte, len(w.buf), len(w.buf)+n) // fractos:alloc-ok cold path: hot callers pre-size via EncodedSize so capacity suffices
-	copy(nb, w.buf)
-	w.buf = nb
-}
-
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// U8 appends one byte.
-//
-//fractos:hotpath
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) } // fractos:alloc-ok appends into capacity pre-grown by Grow/EncodedSize
-
-// U16 appends a little-endian uint16.
-//
-//fractos:hotpath
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
-// U32 appends a little-endian uint32.
-//
-//fractos:hotpath
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-// U64 appends a little-endian uint64.
-//
-//fractos:hotpath
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// Bool appends a boolean as one byte.
-//
-//fractos:hotpath
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+	fn, ok := registry[Type(t)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
+	m := fn()
+	m.Layout(c)
+	if c.err != nil {
+		return nil, c.err
+	}
+	return m, nil
 }
-
-// Bytes32 appends a length-prefixed (uint32) byte slice.
-//
-//fractos:hotpath
-func (w *Writer) Bytes32(b []byte) {
-	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...) // fractos:alloc-ok appends into capacity pre-grown by Grow/EncodedSize
-}
-
-// String32 appends a length-prefixed string.
-func (w *Writer) String32(s string) { w.Bytes32([]byte(s)) }
-
-// Reader consumes primitive values from a byte buffer. Errors are
-// sticky: after the first short read, all further reads return zero
-// values and Err reports the failure.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader wraps a buffer for decoding.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
-
-// Reset re-points the Reader at a new buffer, clearing any sticky
-// error, so a Reader value can be reused without allocation.
-//
-//fractos:hotpath
-func (r *Reader) Reset(b []byte) {
-	r.buf = b
-	r.off = 0
-	r.err = nil
-}
-
-// Err returns the first decoding error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining reports how many bytes are left.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 //fractos:hotpath
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if r.off+n > len(r.buf) {
-		r.err = ErrShort
+	if n > len(c.buf)-c.off {
+		c.err = ErrShort
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
+	b := c.buf[c.off : c.off+n]
+	c.off += n
 	return b
 }
 
-// U8 reads one byte.
+// U8 lays out one byte.
 //
 //fractos:hotpath
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
+func (c *Codec) U8(v *uint8) {
+	if !c.decoding {
+		c.buf = append(c.buf, *v) // fractos:alloc-ok amortized growth of the pooled buffer; steady-state encodes reuse its capacity
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
 	}
-	return b[0]
 }
 
-// U16 reads a little-endian uint16.
+// U16 lays out a little-endian uint16.
 //
 //fractos:hotpath
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
+func (c *Codec) U16(v *uint16) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	} else if b := c.take(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint16(b)
 }
 
-// U32 reads a little-endian uint32.
+// U32 lays out a little-endian uint32.
 //
 //fractos:hotpath
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+func (c *Codec) U32(v *uint32) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
 }
 
-// U64 reads a little-endian uint64.
+// U64 lays out a little-endian uint64.
 //
 //fractos:hotpath
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
+func (c *Codec) U64(v *uint64) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-// Bool reads a boolean.
+// Bool lays out a boolean as one byte; any non-zero byte decodes true.
 //
 //fractos:hotpath
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// Bytes32 reads a length-prefixed byte slice. The result is a copy so
-// callers may retain it.
-func (r *Reader) Bytes32() []byte {
-	n := int(r.U32())
-	if r.err != nil {
-		return nil
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
 	}
-	if n > r.Remaining() {
-		r.err = ErrShort
-		return nil
+	c.U8(&b)
+	if c.decoding {
+		*v = b != 0
 	}
-	b := r.take(n)
-	out := make([]byte, n)
-	copy(out, b)
-	return out
 }
 
-// String32 reads a length-prefixed string.
-func (r *Reader) String32() string { return string(r.Bytes32()) }
+// Bytes32 lays out a uint32-length-prefixed byte slice. Decoding
+// checks the length against the bytes left before allocating, and
+// copies the payload so the message never aliases the frame.
+//
+//fractos:hotpath
+func (c *Codec) Bytes32(v *[]byte) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	if !c.decoding {
+		c.buf = append(c.buf, *v...) // fractos:alloc-ok amortized growth of the pooled buffer; steady-state encodes reuse its capacity
+		return
+	}
+	if c.err == nil && uint64(n) > uint64(len(c.buf)-c.off) {
+		c.err = ErrShort
+	}
+	if b := c.take(int(n)); b != nil {
+		*v = make([]byte, n) // fractos:alloc-ok decode-side payload copy: decoded messages never alias the frame
+		copy(*v, b)
+	}
+}
+
+// list lays out a uint16-counted slice, running elem on each entry.
+// Decoding leaves an empty list nil, and rejects a count larger than
+// the bytes left before allocating (every entry takes at least one).
+func list[T any](c *Codec, s *[]T, elem func(*Codec, *T)) {
+	n := uint16(len(*s))
+	c.U16(&n)
+	if c.decoding {
+		if c.err == nil && int(n) > len(c.buf)-c.off {
+			c.err = ErrShort
+		}
+		if n == 0 || c.err != nil {
+			return
+		}
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
+}
 
 // Type identifies a message's concrete kind on the wire.
 type Type uint16
@@ -266,14 +250,10 @@ type Message interface {
 	WireType() Type
 	// Class tags the message for traffic accounting.
 	Class() Class
-	// EncodedSize returns the exact body length Encode will produce
-	// (excluding the 2-byte type header). Marshal and the fabric use
-	// it to pre-size buffers so encoding never reallocates.
-	EncodedSize() int
-	// Encode appends the message body (excluding the type header).
-	Encode(w *Writer)
-	// Decode parses the message body.
-	Decode(r *Reader) error
+	// Layout lists the message body (everything after the type
+	// header) to c, field by field in wire order. The one method
+	// both encodes and decodes.
+	Layout(c *Codec)
 }
 
 var registry = map[Type]func() Message{}
@@ -286,75 +266,27 @@ func Register(t Type, fn func() Message) {
 	registry[t] = fn
 }
 
-// Marshal encodes a message with its type header. The returned buffer
-// is allocated at the exact encoded size (via EncodedSize), so
-// encoding performs a single allocation: the frame is built in a
-// pooled Writer and copied out. (Encoding directly into a local Writer
-// would be two allocations — the interface call m.Encode(&w) makes the
-// Writer escape.) The AllocsPerRun gate in bench_test.go pins the
-// single-allocation contract at runtime.
+// Marshal encodes a message with its type header into a new buffer of
+// exactly the frame's size. The frame is built in a pooled Codec and
+// copied out, so Marshal makes a single allocation; the AllocsPerRun
+// gate in bench_test.go pins that.
 //
 //fractos:hotpath
 func Marshal(m Message) []byte {
-	w := GetWriter(2 + m.EncodedSize())
-	w.U16(uint16(m.WireType()))
-	m.Encode(w)
-	out := make([]byte, len(w.buf)) // fractos:alloc-ok the single exact-size allocation Marshal exists to make
-	copy(out, w.buf)
-	w.Release()
+	c := GetCodec()
+	frame := c.Encode(m)
+	out := make([]byte, len(frame)) // fractos:alloc-ok the single exact-size allocation Marshal exists to make
+	copy(out, frame)
+	c.Release()
 	return out
 }
 
-// AppendMarshal encodes a message with its type header, appending to
-// dst and returning the extended buffer. Passing dst[:0] of a retained
-// buffer gives an allocation-free encode once the buffer has grown to
-// the message's size; this is the hot-path entry the fabric uses.
-//
-//fractos:hotpath
-func AppendMarshal(dst []byte, m Message) []byte {
-	w := Writer{buf: dst}
-	w.Grow(2 + m.EncodedSize())
-	w.U16(uint16(m.WireType()))
-	m.Encode(&w)
-	return w.buf
-}
-
-// MarshalTo encodes a message with its type header into w (typically a
-// pooled Writer from GetWriter), pre-growing to the exact frame size.
-//
-//fractos:hotpath
-func MarshalTo(w *Writer, m Message) {
-	w.Grow(2 + m.EncodedSize())
-	w.U16(uint16(m.WireType()))
-	m.Encode(w)
-}
-
-// Unmarshal decodes a framed message produced by Marshal. The Reader
-// lives on the stack; the only allocations are the message struct
-// itself and copies of any variable-length payloads, so the returned
-// message never aliases b and b may be reused immediately.
+// Unmarshal decodes a framed message produced by Marshal, through a
+// pooled Codec. The only allocations are those of Codec.Decode: a
+// Completion, with no lists or payloads, costs one.
 func Unmarshal(b []byte) (Message, error) {
-	r := Reader{buf: b}
-	t := Type(r.U16())
-	if r.err != nil {
-		return nil, r.err
-	}
-	fn, ok := registry[t]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
-	}
-	m := fn()
-	if err := m.Decode(&r); err != nil {
-		return nil, err
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return m, nil
+	c := GetCodec()
+	m, err := c.Decode(b)
+	c.Release()
+	return m, err
 }
-
-// SizeOf returns the encoded size of a message including the type
-// header, without encoding anything.
-//
-//fractos:hotpath
-func SizeOf(m Message) int { return 2 + m.EncodedSize() }

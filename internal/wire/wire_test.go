@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,57 +12,99 @@ import (
 	"fractos/internal/cap"
 )
 
+// TestWriterReaderPrimitives runs every Codec primitive in the encode
+// direction and then reads the bytes back in the decode direction.
 func TestWriterReaderPrimitives(t *testing.T) {
-	var w Writer
-	w.U8(0xab)
-	w.U16(0x1234)
-	w.U32(0xdeadbeef)
-	w.U64(0x0102030405060708)
-	w.Bool(true)
-	w.Bytes32([]byte("hello"))
-	w.String32("world")
+	var (
+		u8    uint8  = 0xab
+		u16   uint16 = 0x1234
+		u32   uint32 = 0xdeadbeef
+		u64   uint64 = 0x0102030405060708
+		yes          = true
+		b            = []byte("hello")
+		empty        = []byte{}
+	)
+	var w Codec
+	w.U8(&u8)
+	w.U16(&u16)
+	w.U32(&u32)
+	w.U64(&u64)
+	w.Bool(&yes)
+	w.Bytes32(&b)
+	w.Bytes32(&empty)
+	want := "ab" + "3412" + "efbeadde" + "0807060504030201" + "01" + "05000000" + "68656c6c6f" + "00000000"
+	if got := hex.EncodeToString(w.buf); got != want {
+		t.Fatalf("encoded %s, want %s", got, want)
+	}
 
-	r := NewReader(w.Bytes())
-	if r.U8() != 0xab || r.U16() != 0x1234 || r.U32() != 0xdeadbeef {
+	r := Codec{buf: w.buf, decoding: true}
+	var (
+		g8   uint8
+		g16  uint16
+		g32  uint32
+		g64  uint64
+		gb   bool
+		gbs  []byte
+		gnil []byte
+	)
+	r.U8(&g8)
+	r.U16(&g16)
+	r.U32(&g32)
+	r.U64(&g64)
+	r.Bool(&gb)
+	r.Bytes32(&gbs)
+	r.Bytes32(&gnil)
+	if g8 != u8 || g16 != u16 || g32 != u32 || g64 != u64 || !gb {
 		t.Fatal("primitive mismatch")
 	}
-	if r.U64() != 0x0102030405060708 || !r.Bool() {
-		t.Fatal("primitive mismatch")
+	if string(gbs) != "hello" || gnil == nil || len(gnil) != 0 {
+		t.Fatalf("bytes mismatch: %q %v", gbs, gnil)
 	}
-	if string(r.Bytes32()) != "hello" || r.String32() != "world" {
-		t.Fatal("bytes mismatch")
-	}
-	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("err=%v remaining=%d", r.Err(), r.Remaining())
+	if r.err != nil || r.off != len(r.buf) {
+		t.Fatalf("err=%v remaining=%d", r.err, len(r.buf)-r.off)
 	}
 }
 
+// TestReaderShortBufferSticky checks the decode direction's sticky
+// error: after the first short read, later reads leave their fields
+// untouched instead of panicking.
 func TestReaderShortBufferSticky(t *testing.T) {
-	r := NewReader([]byte{1, 2})
-	_ = r.U32()
-	if r.Err() != ErrShort {
-		t.Fatalf("err = %v, want ErrShort", r.Err())
+	r := Codec{buf: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, decoding: true}
+	var v32 uint32
+	var v64 uint64
+	r.U64(&v64)
+	r.U32(&v32)
+	if r.err != ErrShort {
+		t.Fatalf("err = %v, want ErrShort", r.err)
 	}
-	// All subsequent reads return zero without panicking.
-	if r.U64() != 0 || r.U8() != 0 || r.Bytes32() != nil {
-		t.Fatal("reads after error must return zero values")
+	v8 := uint8(7)
+	b := []byte("keep")
+	r.off = 0
+	r.U8(&v8)
+	r.Bytes32(&b)
+	if v32 != 0 || v8 != 7 || string(b) != "keep" {
+		t.Fatal("reads after an error must leave their fields untouched")
 	}
 }
 
 func TestBytes32HugeLengthRejected(t *testing.T) {
-	var w Writer
-	w.U32(1 << 30) // absurd length, no payload
-	r := NewReader(w.Bytes())
-	if r.Bytes32() != nil || r.Err() == nil {
+	r := Codec{buf: []byte{0, 0, 0, 0x40}, decoding: true} // length 1<<30, no payload
+	var b []byte
+	r.Bytes32(&b)
+	if b != nil || r.err != ErrShort {
 		t.Fatal("oversized length must fail, not allocate")
+	}
+	var refs []cap.Ref
+	r = Codec{buf: []byte{0xff, 0xff, 1, 2, 3}, decoding: true} // 65535 entries, 3 bytes left
+	list(&r, &refs, layoutRef)
+	if refs != nil || r.err != ErrShort {
+		t.Fatal("oversized list count must fail, not allocate")
 	}
 }
 
 func TestUnmarshalUnknownType(t *testing.T) {
-	var w Writer
-	w.U16(0xffff)
-	if _, err := Unmarshal(w.Bytes()); err == nil {
-		t.Fatal("expected unknown-type error")
+	if _, err := Unmarshal([]byte{0xff, 0xff}); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}
 }
 
@@ -127,9 +171,6 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("%T round-trip mismatch:\n in: %+v\nout: %+v", m, m, got)
-		}
-		if SizeOf(m) != len(b) {
-			t.Errorf("%T: SizeOf=%d, Marshal len=%d", m, SizeOf(m), len(b))
 		}
 	}
 }

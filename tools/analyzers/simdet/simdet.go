@@ -30,8 +30,7 @@
 // cmd/* packages are exempt: the CLI drivers legitimately measure
 // wall-clock time around whole simulation runs. Individual findings
 // can be waived with a `fractos:nondet-ok <reason>` comment on or
-// above the offending line (realtime pacing in internal/sim is the
-// canonical example).
+// above the offending line.
 package simdet
 
 import (
